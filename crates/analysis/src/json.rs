@@ -1,10 +1,12 @@
-//! Minimal JSON reader/writer, just enough for the baseline file.
+//! Minimal JSON reader/writer, just enough for the baseline file and the
+//! telemetry exports.
 //!
 //! The workspace has no serialization dependency (see `crates/compat`), and
 //! the analyzer must stay zero-dependency, so the baseline is read with a
-//! tiny recursive-descent parser over the JSON subset the analyzer itself
-//! writes: objects, arrays, strings with `\`-escapes, unsigned integers,
-//! booleans and null. Anything fancier (floats, unicode escapes beyond
+//! tiny recursive-descent parser over the JSON subset the workspace writes:
+//! objects, arrays, strings with `\`-escapes, unsigned integers, booleans
+//! and null. `validate_telemetry` reads the trace and frame-series exports
+//! with the same parser. Anything fancier (floats, unicode escapes beyond
 //! `\uXXXX`, comments) is rejected — the baseline is machine-written, so a
 //! parse failure means the file was hand-mangled and should be regenerated.
 

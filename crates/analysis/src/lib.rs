@@ -3,13 +3,13 @@
 //! Everything this repository claims — engine equivalence, exact-integer
 //! stats, seeded fault/telemetry reproducibility — rests on invariants
 //! that `rustc` cannot check: no iteration-order-dependent containers in
-//! result-affecting code, no wall-clock reads outside the bench harness,
-//! no unseeded randomness, no floats in accounting structs, no silent
-//! panic paths or allocations on the per-cycle engine path. This crate is
-//! the machine check for those conventions: an offline, zero-dependency
-//! static analyzer (hand-rolled comment/string-aware lexer plus
-//! lightweight scope tracking, in the spirit of `crates/compat`) that
-//! walks the workspace `src` trees and enforces four lint families:
+//! result-affecting code, no wall-clock reads, no unseeded randomness, no
+//! floats in accounting structs, no silent panic paths or allocations on
+//! the per-cycle engine path. This crate is the machine check for those
+//! conventions: an offline, zero-dependency static analyzer (hand-rolled
+//! comment/string-aware lexer plus lightweight scope tracking, in the
+//! spirit of `crates/compat`) that walks the workspace `src` trees and
+//! enforces four lint families:
 //!
 //! 1. **determinism** — [`Rule::HashIter`], [`Rule::WallClock`],
 //!    [`Rule::UnseededRng`], [`Rule::FloatStatsField`];
@@ -63,9 +63,6 @@ pub struct Config {
     /// Path suffixes of the per-cycle hot-path modules (`panic-path` and
     /// `panic-index` apply).
     pub hot_path_files: Vec<String>,
-    /// Crate directories allowed to read the wall clock (the bench
-    /// harness times real executions).
-    pub wall_clock_exempt: Vec<String>,
 }
 
 impl Config {
@@ -91,7 +88,6 @@ impl Config {
             ]
             .map(String::from)
             .to_vec(),
-            wall_clock_exempt: ["crates/bench"].map(String::from).to_vec(),
         }
     }
 
@@ -100,7 +96,6 @@ impl Config {
         let crate_dir = crate_dir_of(rel_path);
         FilePolicy {
             result_affecting: self.result_affecting.iter().any(|c| c == crate_dir),
-            wall_clock_exempt: self.wall_clock_exempt.iter().any(|c| c == crate_dir),
             hot_path: self.hot_path_files.iter().any(|f| rel_path == f),
         }
     }
@@ -154,9 +149,9 @@ mod tests {
     fn workspace_policy_mapping() {
         let cfg = Config::for_workspace(".");
         let hot = cfg.policy_for("crates/netsim/src/network.rs");
-        assert!(hot.hot_path && hot.result_affecting && !hot.wall_clock_exempt);
+        assert!(hot.hot_path && hot.result_affecting);
         let bench = cfg.policy_for("crates/bench/src/lib.rs");
-        assert!(bench.wall_clock_exempt && !bench.result_affecting && !bench.hot_path);
+        assert!(!bench.result_affecting && !bench.hot_path);
         let qos = cfg.policy_for("crates/qos/src/pvc.rs");
         assert!(qos.result_affecting && !qos.hot_path);
     }

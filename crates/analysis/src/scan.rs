@@ -17,8 +17,9 @@ pub enum Rule {
     /// seeded per process, so any iteration silently breaks cross-process
     /// reproducibility. Use `BTreeMap`/`BTreeSet` or sorted access.
     HashIter,
-    /// `Instant`/`SystemTime` outside the bench crate: wall-clock reads make
-    /// results depend on the machine, not the seed.
+    /// `Instant`/`SystemTime` anywhere: wall-clock reads make results depend
+    /// on the machine, not the seed. A deliberate host-time measurement
+    /// carries an allow directive with its reason.
     WallClock,
     /// Unseeded RNG construction (`thread_rng`, `from_entropy`, `OsRng`):
     /// every random stream must derive from an explicit seed.
@@ -127,8 +128,6 @@ pub struct Violation {
 pub struct FilePolicy {
     /// File belongs to a result-affecting crate (hash-iter applies).
     pub result_affecting: bool,
-    /// File is exempt from the wall-clock rule (bench harness).
-    pub wall_clock_exempt: bool,
     /// File is one of the hot-path modules (panic rules apply).
     pub hot_path: bool,
 }
@@ -477,7 +476,7 @@ impl Scanner<'_> {
                     format!("`{name}` in a result-affecting crate has seeded iteration order"),
                 );
             }
-            "Instant" | "SystemTime" if !self.policy.wall_clock_exempt => {
+            "Instant" | "SystemTime" => {
                 self.report(
                     Rule::WallClock,
                     line,
@@ -569,7 +568,6 @@ mod tests {
     fn hot_policy() -> FilePolicy {
         FilePolicy {
             result_affecting: true,
-            wall_clock_exempt: false,
             hot_path: true,
         }
     }
@@ -686,8 +684,7 @@ mod tests {
         let got = rules_at(src, hot_policy());
         assert!(got.contains(&("wall-clock", 1)));
         assert!(got.contains(&("unseeded-rng", 1)));
-        let mut bench = hot_policy();
-        bench.wall_clock_exempt = true;
-        assert!(!rules_at(src, bench).contains(&("wall-clock", 1)));
+        // No file is exempt: the rule applies under every policy.
+        assert!(rules_at(src, FilePolicy::default()).contains(&("wall-clock", 1)));
     }
 }

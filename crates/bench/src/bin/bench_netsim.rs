@@ -1,15 +1,17 @@
-//! Simulator throughput harness: cycles per second of the netsim hot path.
+//! Engine cross-check: every benchmark case on both engines, with oracles.
 //!
-//! Runs each benchmark case with the optimized engine (slab packet store,
+//! Runs each case with the optimized engine (slab packet store,
 //! timing-wheel event queue, incremental arbitration request lists,
-//! active-set tracking) and with the reference engine (the seed
-//! implementation's hash-map store, binary-heap queue, per-cycle allocations
-//! and full scans), cross-checks that both produced identical statistics,
-//! prints a table and writes `BENCH_netsim.json` so future changes have a
-//! performance trajectory to regress against. The cases:
+//! active-set tracking) and with the reference engine (hash-map store,
+//! binary-heap queue, rescan request gather and full scans), and panics
+//! unless both produce identical statistics. Cases with a functional oracle
+//! check it too: the adversarial cases must deliver traffic and the
+//! DRAM-backed cases must keep their row locality. Nothing is timed; the
+//! repository's benchmark (`BENCHMARK.json`) measures simulator speed. The
+//! cases:
 //!
-//! * `mesh_8x8` — the chip-scale 8×8 mesh (the headline case, 64 routers,
-//!   one injector per node) under open-loop uniform random + PVC;
+//! * `mesh_8x8` — the chip-scale 8×8 mesh (64 routers, one injector per
+//!   node) under open-loop uniform random + PVC;
 //! * `chip_8x8` — the hybrid chip fabric (mesh + per-row MECS express
 //!   channels + shared-column QOS overlay) under its open-loop
 //!   memory-access workload;
@@ -41,28 +43,23 @@
 //! * the five column topology families (mesh x1/x2/x4, MECS, DPS; the
 //!   paper's 8-node / 64-injector shared region) under uniform random.
 //!
-//! Wall time per engine is the **median of `--repeat` runs** (min is also
-//! recorded): run-to-run noise on a busy machine was observed at ±20%, so
-//! single-shot figures are not comparable across commits.
-//!
-//! Every timed run executes with telemetry **off** (the hot path stays
-//! allocation-free); `--trace-out FILE` / `--series-out FILE` add one extra
-//! *untimed* instrumented run of the first selected case that exports a
-//! flit-level trace (`.jsonl` → JSON-lines events, anything else → a Chrome
-//! trace viewable in Perfetto) and/or the per-frame time series.
+//! Every cross-checked run executes with telemetry **off**; `--trace-out
+//! FILE` / `--series-out FILE` add one extra instrumented run of the first
+//! selected case that exports a flit-level trace (`.jsonl` → JSON-lines
+//! events, anything else → a Chrome trace viewable in Perfetto) and/or the
+//! per-frame time series. `--cycles N` sets the cycle budget (default
+//! 20,000) and `--filter SUBSTRING` selects cases by name.
 //!
 //! ```text
 //! cargo run --release -p taqos-bench --bin bench_netsim
-//! cargo run --release -p taqos-bench --bin bench_netsim -- --quick
-//! cargo run --release -p taqos-bench --bin bench_netsim -- --cycles 200000 --repeat 5 --out BENCH_netsim.json
-//! cargo run --release -p taqos-bench --bin bench_netsim -- --quick --filter chip_8x8 --trace-out chip.trace.json --series-out chip.series.jsonl
+//! cargo run --release -p taqos-bench --bin bench_netsim -- --cycles 5000
+//! cargo run --release -p taqos-bench --bin bench_netsim -- --filter chip_8x8 --trace-out chip.trace.json --series-out chip.series.jsonl
 //! ```
 
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufWriter;
-use std::time::Instant;
-use taqos_bench::{cell, rule, CliArgs};
+use taqos_bench::{rule, CliArgs};
 use taqos_core::chip_sim::ChipSim;
 use taqos_core::experiment::chip_scale::chip_fault_bench_plan;
 use taqos_core::shared_region::SharedRegionSim;
@@ -81,9 +78,12 @@ use taqos_topology::mesh2d::Mesh2dConfig;
 use taqos_traffic::injection::PacketSizeMix;
 use taqos_traffic::workloads;
 
-/// Injection rate in flits/cycle/injector: comfortably below saturation so
-/// the run measures steady-state forwarding work, not queue growth.
-const DEFAULT_RATE: f64 = 0.08;
+/// Injection rate in flits/cycle/injector of the open-loop cases:
+/// comfortably below saturation, so the run exercises steady-state
+/// forwarding, not queue growth.
+const RATE: f64 = 0.08;
+/// Default cycle budget of every case (the 16x16 chips run a quarter).
+const DEFAULT_CYCLES: u64 = 20_000;
 /// MLP window of every requester in the closed-loop cases.
 const CLOSED_LOOP_MLP: usize = 4;
 const SEED: u64 = 1;
@@ -116,13 +116,6 @@ fn weighted_chip_rates(sim: &ChipSim) -> RateAllocation {
     }
     let total: f64 = weights.iter().sum();
     RateAllocation::from_rates(weights.into_iter().map(|w| w / total).collect())
-}
-
-struct EngineRun {
-    cycles_per_sec: f64,
-    wall_median_secs: f64,
-    wall_min_secs: f64,
-    stats: NetStats,
 }
 
 /// One benchmark case: a column topology, the plain chip-scale 8x8 mesh, the
@@ -161,61 +154,9 @@ impl BenchCase {
         }
     }
 
-    /// Workload pattern of the case, recorded per row in the JSON report.
-    fn workload_name(self) -> &'static str {
-        match self {
-            BenchCase::Chip8x8 => "nearest_mc_fixed",
-            BenchCase::ChipClosed8x8
-            | BenchCase::ChipDram8x8
-            | BenchCase::ChipDramFrfcfs8x8
-            | BenchCase::ChipWeighted8x8
-            | BenchCase::ChipClosed16x16 { .. } => "nearest_mc_mlp",
-            BenchCase::ChipFault8x8 => "nearest_mc_mlp_retry",
-            BenchCase::ChipIncast8x8 => "incast_bursty_mlp",
-            _ => "uniform_random",
-        }
-    }
-
-    /// QOS policy of the case, recorded per row in the JSON report.
-    fn policy_name(self) -> &'static str {
-        match self {
-            BenchCase::Chip8x8
-            | BenchCase::ChipClosed8x8
-            | BenchCase::ChipDram8x8
-            | BenchCase::ChipDramFrfcfs8x8
-            | BenchCase::ChipFault8x8
-            | BenchCase::ChipIncast8x8
-            | BenchCase::ChipClosed16x16 { .. } => "pvc@columns",
-            BenchCase::ChipWeighted8x8 => "pvc@columns_weighted",
-            _ => "pvc",
-        }
-    }
-
-    /// Weight/phase parameters of the heterogeneous cases, recorded per row
-    /// in the JSON report (from the same constants `build` installs) so
-    /// regenerated baselines self-describe what actually ran.
-    fn workload_spec(self) -> String {
-        match self {
-            BenchCase::ChipIncast8x8 => format!(
-                "{{ \"victim\": \"node (0,4), mlp 1\", \
-                 \"attacker_mlp\": {INCAST_ATTACKER_MLP}, \
-                 \"burst_period\": {INCAST_BURST_PERIOD}, \
-                 \"burst_on\": {INCAST_BURST_ON}, \
-                 \"pattern\": \"all-to-one column controller, seeded bursty phases\" }}"
-            ),
-            BenchCase::ChipWeighted8x8 => format!(
-                "{{ \"weights\": \"rows 0-1:{}, rows 2-4:{}, rest:{} (normalised)\" }}",
-                WEIGHT_BANDS[0], WEIGHT_BANDS[1], WEIGHT_BANDS[2]
-            ),
-            _ => "null".to_string(),
-        }
-    }
-
-    /// DRAM controller model of the case, if any. This is the single source
-    /// of truth: `build` installs exactly this configuration and the JSON
-    /// report records it (scheduler, page policy and age cap included), so
-    /// regenerated baselines are self-describing and cannot desync from
-    /// what actually ran.
+    /// DRAM controller model of the case, if any: `build` installs exactly
+    /// this configuration, and the row-locality oracle applies to every case
+    /// that has one.
     fn dram_config(self) -> Option<DramConfig> {
         match self {
             BenchCase::ChipDram8x8 => {
@@ -231,7 +172,7 @@ impl BenchCase {
     }
 
     /// Cycle budget of the case: the 256-router 16x16 chips run a quarter of
-    /// the base budget (cycles/sec normalises the comparison anyway).
+    /// the base budget.
     fn cycles(self, base: u64) -> u64 {
         match self {
             BenchCase::ChipClosed16x16 { .. } => (base / 4).max(1),
@@ -242,13 +183,7 @@ impl BenchCase {
     /// Builds the case's network. `horizon` is the cycle budget the caller
     /// will run — the bursty incast case materialises its phase schedules up
     /// to exactly that horizon.
-    fn build(
-        self,
-        engine: EngineKind,
-        rate: f64,
-        telemetry: TelemetryConfig,
-        horizon: u64,
-    ) -> Network {
+    fn build(self, engine: EngineKind, telemetry: TelemetryConfig, horizon: u64) -> Network {
         let sim_config = SimConfig::default()
             .with_engine(engine)
             .with_telemetry(telemetry);
@@ -258,7 +193,7 @@ impl BenchCase {
                 let spec = config.build();
                 let generators = workloads::uniform_random_terminals(
                     config.num_nodes(),
-                    rate,
+                    RATE,
                     PacketSizeMix::paper(),
                     SEED,
                 );
@@ -272,7 +207,7 @@ impl BenchCase {
                 // on its own row of the shared column, over the MECS express
                 // channels, with PVC confined to the column routers.
                 let sim = ChipSim::paper_default().with_sim_config(sim_config);
-                let plan = sim.nearest_mc_plan(rate);
+                let plan = sim.nearest_mc_plan(RATE);
                 let generators = workloads::per_node_fixed(&plan, PacketSizeMix::paper(), SEED);
                 sim.build(sim.default_policy(), generators)
                     .expect("chip builds")
@@ -370,7 +305,7 @@ impl BenchCase {
             BenchCase::Column(topology) => {
                 let sim = SharedRegionSim::new(topology).with_sim_config(sim_config);
                 let generators =
-                    workloads::uniform_random(sim.column(), rate, PacketSizeMix::paper(), SEED);
+                    workloads::uniform_random(sim.column(), RATE, PacketSizeMix::paper(), SEED);
                 let policy: Box<dyn QosPolicy> =
                     Box::new(PvcPolicy::equal_rates(sim.column().num_flows()));
                 sim.build(policy, generators).expect("column builds")
@@ -379,95 +314,50 @@ impl BenchCase {
     }
 }
 
-fn run_engine(
-    case: BenchCase,
-    engine: EngineKind,
-    cycles: u64,
-    rate: f64,
-    repeat: u32,
-) -> EngineRun {
-    // Median-of-N sampling: single-shot wall times vary by +-20% run-to-run
-    // on a shared machine; the median is the stable figure (the min is also
-    // recorded as the optimistic bound). Every repeat simulates the
-    // identical run (same seed), so one repeat's statistics stand for all of
-    // them — a claim the loop *verifies* instead of assuming: a repeat whose
-    // statistics diverge from the first means the simulator is
-    // nondeterministic (or shares state across runs), and every figure in
-    // the report would be suspect.
-    let mut walls = Vec::with_capacity(repeat.max(1) as usize);
-    let mut stats: Option<NetStats> = None;
-    for repeat_idx in 0..repeat.max(1) {
-        // Timed runs always measure the production configuration: telemetry
-        // off, hot loop allocation- and branch-free.
-        let mut network = case.build(engine, rate, TelemetryConfig::off(), cycles);
-        let start = Instant::now();
-        network.run_for(cycles);
-        walls.push(start.elapsed().as_secs_f64());
-        let run_stats = network.into_stats();
-        match &stats {
-            None => stats = Some(run_stats),
-            Some(first) => assert_eq!(
-                first,
-                &run_stats,
-                "{} ({engine:?}) repeat {repeat_idx} diverged from repeat 0: \
-                 identical seeds must produce identical statistics",
-                case.name()
-            ),
-        }
-    }
-    walls.sort_by(f64::total_cmp);
-    let median = if walls.len() % 2 == 1 {
-        walls[walls.len() / 2]
-    } else {
-        (walls[walls.len() / 2 - 1] + walls[walls.len() / 2]) / 2.0
-    };
-    EngineRun {
-        cycles_per_sec: cycles as f64 / median,
-        wall_median_secs: median,
-        wall_min_secs: walls[0],
-        stats: stats.expect("at least one repeat"),
-    }
+/// Runs `case` for `cycles` cycles on `engine` with telemetry off.
+fn run_engine(case: BenchCase, engine: EngineKind, cycles: u64) -> NetStats {
+    let mut network = case.build(engine, TelemetryConfig::off(), cycles);
+    network.run_for(cycles);
+    network.into_stats()
 }
 
-struct TopologyResult {
-    case: BenchCase,
-    optimized: EngineRun,
-    reference: EngineRun,
-}
-
-impl TopologyResult {
-    fn speedup(&self) -> f64 {
-        self.optimized.cycles_per_sec / self.reference.cycles_per_sec
+/// The functional oracles on top of the engine cross-check: an incast or
+/// weighted run that delivers nothing is a broken workload, and a
+/// DRAM-backed run must keep its row locality.
+fn check_oracles(case: BenchCase, stats: &NetStats) {
+    if matches!(case, BenchCase::ChipIncast8x8 | BenchCase::ChipWeighted8x8) {
+        assert!(
+            stats.delivered_packets > 0,
+            "{} delivered no packets — the workload is wired wrong",
+            case.name()
+        );
+    }
+    // Each requester streams its private region in row-major line order, so
+    // the open rows must see substantial reuse. A near-zero hit rate means
+    // the address mapping is scattering the stream again (the regression
+    // this guard was added for reported 0 hits in 266k services).
+    if case.dram_config().is_some() {
+        let ds = &stats.dram;
+        assert!(
+            ds.serviced_requests > 0,
+            "{} serviced no DRAM requests — the workload is wired wrong",
+            case.name()
+        );
+        let hit_rate = ds.row_hits as f64 / ds.serviced_requests as f64;
+        assert!(
+            hit_rate >= 0.05,
+            "{} DRAM row-hit rate {:.1}% is degenerate (< 5%): \
+             row locality is broken in the address mapping or scheduler",
+            case.name(),
+            100.0 * hit_rate
+        );
     }
 }
 
 fn main() {
     let args = CliArgs::from_env();
-    let cycles: u64 = if args.has_flag("quick") {
-        args.value_or("cycles", 20_000)
-    } else {
-        args.value_or("cycles", 200_000)
-    };
-    // A filtered run produces a partial report; never let it silently
-    // overwrite the committed full baseline through the default path.
-    let out_path = match (args.value("out"), args.value("filter")) {
-        (Some(out), _) => out.to_string(),
-        (None, Some(_)) => "BENCH_netsim.filtered.json".to_string(),
-        (None, None) => "BENCH_netsim.json".to_string(),
-    };
-    let rate: f64 = args.value_or("rate", DEFAULT_RATE);
-    // `--samples` is the historical name of the knob; `--repeat` wins.
-    let repeat: u32 = args.value_or("repeat", args.value_or("samples", 3));
-    // `--check` asserts on the mesh_8x8 headline, so a filter that excludes
-    // it is a usage error — fail before running anything.
-    if args.has_flag("check") {
-        if let Some(filter) = args.value("filter") {
-            if !"mesh_8x8".contains(filter) {
-                eprintln!("--check requires the mesh_8x8 case, excluded by --filter {filter}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let cycles: u64 = args.value_or("cycles", DEFAULT_CYCLES);
+    let filter = args.value("filter");
     let cases = [
         BenchCase::Mesh8x8,
         BenchCase::Chip8x8,
@@ -485,155 +375,67 @@ fn main() {
         BenchCase::Column(ColumnTopology::Mecs),
         BenchCase::Column(ColumnTopology::Dps),
     ];
+    let selected: Vec<BenchCase> = cases
+        .into_iter()
+        .filter(|case| filter.is_none_or(|f| case.name().contains(f)))
+        .collect();
+    let Some(&first) = selected.first() else {
+        eprintln!(
+            "usage error: no case matches --filter {}",
+            filter.unwrap_or("")
+        );
+        std::process::exit(2);
+    };
 
+    println!("engine cross-check: optimized vs reference, {cycles} cycles per case");
+    println!("{}", rule(64));
     println!(
-        "netsim throughput: {cycles} cycles @ {rate} flits/cycle/injector, median of {repeat}; \
-         uniform random + PVC (columns, meshes), nearest-MC + column-scoped PVC (chip_8x8), \
-         MLP-{CLOSED_LOOP_MLP} closed loop (chip_closed_8x8, chip_dram_8x8 with DRAM-backed \
-         controllers, chip_dram_frfcfs_8x8 with FR-FCFS + priority admission, \
-         chip_fault_8x8 on a failing fabric with retry recovery, \
-         chip_incast_8x8 all-to-one with bursty phased attackers, \
-         chip_weighted_8x8 with row-banded 8:4:1 PVC rates, \
-         chip_16x16_cols2/4 at cycles/4)"
+        "{:<22} {:>10} {:>12} {:>16}",
+        "case", "cycles", "delivered", "row hits"
     );
-    println!("{}", rule(108));
-    println!(
-        "{:<16} {:>14} {:>14} {:>9}   {:>10} {:>10} {:>10} {:>10}",
-        "topology",
-        "optimized c/s",
-        "reference c/s",
-        "speedup",
-        "opt med s",
-        "opt min s",
-        "ref med s",
-        "ref min s"
-    );
-    println!("{}", rule(108));
-
-    let mut results = Vec::new();
-    for case in cases {
-        // `--filter substring` restricts the run to matching cases (handy
-        // when chasing one case's regression).
-        if let Some(filter) = args.value("filter") {
-            if !case.name().contains(filter) {
-                continue;
-            }
-        }
+    println!("{}", rule(64));
+    for case in selected {
         let case_cycles = case.cycles(cycles);
-        let optimized = run_engine(case, EngineKind::Optimized, case_cycles, rate, repeat);
-        let reference = run_engine(case, EngineKind::Reference, case_cycles, rate, repeat);
+        let optimized = run_engine(case, EngineKind::Optimized, case_cycles);
+        let reference = run_engine(case, EngineKind::Reference, case_cycles);
         assert_eq!(
-            optimized.stats,
-            reference.stats,
+            optimized,
+            reference,
             "engines diverged on {}: the optimized engine is NOT equivalent",
             case.name()
         );
-        let result = TopologyResult {
-            case,
-            optimized,
-            reference,
+        check_oracles(case, &optimized);
+        let ds = &optimized.dram;
+        let row_hits = if ds.serviced_requests == 0 {
+            "-".to_string()
+        } else {
+            format!("{}/{}", ds.row_hits, ds.serviced_requests)
         };
         println!(
-            "{:<16} {:>14} {:>14} {:>8}x   {} {} {} {}",
-            result.case.name(),
-            format!("{:.0}", result.optimized.cycles_per_sec),
-            format!("{:.0}", result.reference.cycles_per_sec),
-            format!("{:.2}", result.speedup()),
-            cell(result.optimized.wall_median_secs, 10, 3),
-            cell(result.optimized.wall_min_secs, 10, 3),
-            cell(result.reference.wall_median_secs, 10, 3),
-            cell(result.reference.wall_min_secs, 10, 3),
-        );
-        results.push(result);
-    }
-    println!("{}", rule(108));
-
-    let headline = results
-        .iter()
-        .find(|r| matches!(r.case, BenchCase::Mesh8x8))
-        .map(TopologyResult::speedup);
-    let min_speedup = results
-        .iter()
-        .map(TopologyResult::speedup)
-        .fold(f64::INFINITY, f64::min);
-    if let Some(headline) = headline {
-        println!(
-            "8x8 mesh speedup: {headline:.2}x (target >= 3x); minimum across all cases: {min_speedup:.2}x"
+            "{:<22} {case_cycles:>10} {:>12} {row_hits:>16}",
+            case.name(),
+            optimized.delivered_packets
         );
     }
-
-    let json = render_json(cycles, rate, repeat, &results);
-    std::fs::write(&out_path, json).expect("write benchmark report");
-    println!("wrote {out_path}");
+    println!("{}", rule(64));
+    println!("OK: engines equal and oracles hold on every selected case");
 
     // `--trace-out` / `--series-out` export observability artifacts from one
-    // extra untimed instrumented run of the first selected case.
+    // extra instrumented run of the first selected case.
     let trace_out = args.value("trace-out");
     let series_out = args.value("series-out");
     if trace_out.is_some() || series_out.is_some() {
-        match results.first().map(|r| r.case) {
-            Some(case) => export_instrumented(case, cycles, rate, trace_out, series_out),
-            None => eprintln!("--trace-out/--series-out ignored: no case matched the filter"),
-        }
-    }
-
-    // The adversarial cases carry a functional oracle on top of the engine
-    // cross-check: an incast or weighted run that delivers nothing is a
-    // broken workload, however fast it simulated. Deterministic, so checked
-    // unconditionally (the speedup targets stay behind `--check`).
-    for result in &results {
-        if matches!(
-            result.case,
-            BenchCase::ChipIncast8x8 | BenchCase::ChipWeighted8x8
-        ) {
-            assert!(
-                result.optimized.stats.delivered_packets > 0,
-                "{} delivered no packets — the workload is wired wrong",
-                result.case.name()
-            );
-        }
-        // Row-locality oracle for the DRAM-backed cases: each requester
-        // streams its private region in row-major line order, so the open
-        // rows must see substantial reuse. A near-zero hit rate means the
-        // address mapping is scattering the stream again (the regression
-        // this guard was added for reported 0 hits in 266k services while
-        // the baseline claimed double-digit rates).
-        if result.case.dram_config().is_some() {
-            let ds = &result.optimized.stats.dram;
-            assert!(
-                ds.serviced_requests > 0,
-                "{} serviced no DRAM requests — the workload is wired wrong",
-                result.case.name()
-            );
-            let hit_rate = ds.row_hits as f64 / ds.serviced_requests as f64;
-            assert!(
-                hit_rate >= 0.05,
-                "{} DRAM row-hit rate {:.1}% is degenerate (< 5%): \
-                 row locality is broken in the address mapping or scheduler",
-                result.case.name(),
-                100.0 * hit_rate
-            );
-        }
-    }
-
-    if args.has_flag("check") {
-        let headline = headline.expect("--check requires the mesh_8x8 case");
-        if headline < 3.0 {
-            eprintln!("FAIL: 8x8 mesh speedup {headline:.2}x below the 3x target");
-            std::process::exit(1);
-        }
+        export_instrumented(first, cycles, trace_out, series_out);
     }
 }
 
-/// One extra *untimed* run of `case` with telemetry fully enabled, exporting
-/// the flit-level trace and/or the per-frame time series. Kept out of the
-/// timed loop so instrumentation can never pollute the recorded figures.
-/// `.jsonl` trace paths get raw JSON-lines events; any other extension gets a
-/// Chrome trace (load it at <https://ui.perfetto.dev>).
+/// One extra run of `case` with telemetry fully enabled, exporting the
+/// flit-level trace and/or the per-frame time series. `.jsonl` trace paths
+/// get raw JSON-lines events; any other extension gets a Chrome trace (load
+/// it at <https://ui.perfetto.dev>).
 fn export_instrumented(
     case: BenchCase,
     cycles: u64,
-    rate: f64,
     trace_out: Option<&str>,
     series_out: Option<&str>,
 ) {
@@ -641,7 +443,7 @@ fn export_instrumented(
         .with_histograms(true)
         .with_frames(EXPORT_FRAME_LEN)
         .with_max_frames((cycles / EXPORT_FRAME_LEN).max(1) as usize);
-    let mut network = case.build(EngineKind::Optimized, rate, telemetry, case.cycles(cycles));
+    let mut network = case.build(EngineKind::Optimized, telemetry, case.cycles(cycles));
     if let Some(path) = trace_out {
         let file = BufWriter::new(File::create(path).expect("create trace file"));
         let sink: Box<dyn TraceSink> = if path.ends_with(".jsonl") {
@@ -657,10 +459,7 @@ fn export_instrumented(
     }
     let stats = network.into_stats();
     if let Some(path) = trace_out {
-        println!(
-            "wrote {path} (flit-level trace of {}, untimed run)",
-            case.name()
-        );
+        println!("wrote {path} (flit-level trace of {})", case.name());
     }
     if let Some(path) = series_out {
         let series = stats.frames.as_ref().expect("frame series enabled");
@@ -706,100 +505,4 @@ fn export_instrumented(
             series.dropped_frames,
         );
     }
-}
-
-fn render_json(cycles: u64, rate: f64, repeat: u32, results: &[TopologyResult]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"netsim_cycles_per_sec\",\n");
-    let _ = writeln!(json, "  \"cycles\": {cycles},");
-    let _ = writeln!(json, "  \"repeat\": {repeat},");
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{ \"rate_flits_per_cycle\": {rate}, \"mix\": \"paper\", \
-         \"closed_loop_mlp\": {CLOSED_LOOP_MLP}, \"seed\": {SEED} }},"
-    );
-    json.push_str("  \"topologies\": [\n");
-    for (i, result) in results.iter().enumerate() {
-        // DRAM-backed cases record their controller model so regenerated
-        // baselines are self-describing.
-        let dram = match result.case.dram_config() {
-            Some(d) => format!(
-                "{{ \"banks\": {}, \"row_hit_latency\": {}, \"row_miss_latency\": {}, \
-                 \"queue_depth\": {}, \"lines_per_row\": {}, \"backpressure\": \"{:?}\", \
-                 \"scheduler\": \"{:?}\", \"page_policy\": \"{:?}\", \"age_cap\": {} }}",
-                d.banks,
-                d.row_hit_latency,
-                d.row_miss_latency,
-                d.queue_depth,
-                d.lines_per_row,
-                d.backpressure,
-                d.scheduler,
-                d.page_policy,
-                d.age_cap,
-            ),
-            None => "null".to_string(),
-        };
-        // The controller and fault-layer outcome of the run rides along in
-        // every row (all-zero objects without a DRAM model / fault plan), so
-        // a regenerated baseline records *what the fabric did*, not only how
-        // fast it simulated.
-        let ds = &result.optimized.stats.dram;
-        let dram_stats = format!(
-            "{{ \"serviced_requests\": {}, \"row_hits\": {}, \"row_misses\": {}, \
-             \"rejected_requests\": {}, \"evicted_requests\": {}, \"stalled_requests\": {}, \
-             \"queue_wait_sum\": {}, \"max_queue_wait\": {}, \"max_queue_occupancy\": {}, \
-             \"bank_busy_cycles\": {} }}",
-            ds.serviced_requests,
-            ds.row_hits,
-            ds.row_misses,
-            ds.rejected_requests,
-            ds.evicted_requests,
-            ds.stalled_requests,
-            ds.queue_wait_sum,
-            ds.max_queue_wait,
-            ds.max_queue_occupancy,
-            ds.bank_busy_cycles,
-        );
-        let fs = &result.optimized.stats.fault;
-        let fault_stats = format!(
-            "{{ \"link_drops\": {}, \"router_drops\": {}, \"corruption_drops\": {}, \
-             \"mc_outage_rejections\": {}, \"abandoned_packets\": {} }}",
-            fs.link_drops,
-            fs.router_drops,
-            fs.corruption_drops,
-            fs.mc_outage_rejections,
-            fs.abandoned_packets,
-        );
-        let _ = write!(
-            json,
-            "    {{ \"topology\": \"{}\", \"pattern\": \"{}\", \"policy\": \"{}\", \
-             \"dram\": {}, \"workload_spec\": {}, \"cycles\": {}, \
-             \"optimized_cycles_per_sec\": {:.1}, \
-             \"reference_cycles_per_sec\": {:.1}, \"speedup\": {:.3}, \
-             \"optimized_wall_median_s\": {:.4}, \"optimized_wall_min_s\": {:.4}, \
-             \"reference_wall_median_s\": {:.4}, \"reference_wall_min_s\": {:.4}, \
-             \"delivered_packets\": {}, \
-             \"dram_stats\": {}, \"fault_stats\": {} }}",
-            result.case.name(),
-            result.case.workload_name(),
-            result.case.policy_name(),
-            dram,
-            result.case.workload_spec(),
-            result.case.cycles(cycles),
-            result.optimized.cycles_per_sec,
-            result.reference.cycles_per_sec,
-            result.speedup(),
-            result.optimized.wall_median_secs,
-            result.optimized.wall_min_secs,
-            result.reference.wall_median_secs,
-            result.reference.wall_min_secs,
-            result.optimized.stats.delivered_packets,
-            dram_stats,
-            fault_stats,
-        );
-        json.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    json
 }

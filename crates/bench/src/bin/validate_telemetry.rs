@@ -1,17 +1,19 @@
 //! Structural validator for exported telemetry artifacts.
 //!
-//! CI runs the bench harness with `--trace-out trace.jsonl --series-out
-//! series.jsonl` and then this binary over the results. It checks, without
-//! any JSON dependency (the workspace has none), that:
+//! CI runs `bench_netsim` with `--trace-out trace.jsonl --series-out
+//! series.jsonl` and then this binary over the results. Each line is parsed
+//! as JSON (with the workspace's own reader, `taqos_analyze::json`), and the
+//! validator checks that:
 //!
-//! * every line of a `--trace` file is a single JSON object carrying the
-//!   required `kind`/`cycle` fields, the `kind` tag is one of the known
-//!   event kinds, flow-scoped events carry a `flow`, and event cycles are
-//!   monotone non-decreasing — globally and per flow (the simulator emits
-//!   events in simulation-time order, so any inversion is an exporter bug);
+//! * every line of a `--trace` file is a JSON object carrying the required
+//!   `kind`/`cycle` fields, the `kind` tag is one of the known event kinds,
+//!   flow-scoped events carry a `flow`, fault transitions carry `active`,
+//!   and event cycles are monotone non-decreasing — globally and per flow
+//!   (the simulator emits events in simulation-time order, so any inversion
+//!   is an exporter bug);
 //! * every line of a `--series` file is a frame snapshot carrying
-//!   `frame`/`cycle`/`flows`/`router_occupancy`/`link_flits`, with frame
-//!   indices consecutive and cycles strictly increasing.
+//!   `frame`/`cycle` and the `flows`/`router_occupancy`/`link_flits`
+//!   arrays, with frame indices consecutive and cycles strictly increasing.
 //!
 //! Exits non-zero with a line-numbered message on the first violation.
 //!
@@ -22,6 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use taqos_analyze::json::{self, Value};
 use taqos_bench::CliArgs;
 
 /// Every `kind` tag the trace exporter can emit.
@@ -37,84 +40,69 @@ const KNOWN_KINDS: [&str; 9] = [
     "fault_transition",
 ];
 
-/// Extracts an unsigned integer field from a single-line JSON object. Good
-/// enough for the flat integer fields our exporters write; not a parser.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// A validation failure: 1-based line number (0 for whole-file problems)
+/// and message.
+type Failure = (usize, String);
+
+/// Parses one non-empty line as a JSON object.
+fn parse_object(line: &str) -> Result<Value, String> {
+    match json::parse(line) {
+        Ok(value @ Value::Obj(_)) => Ok(value),
+        Ok(_) => Err("line is not a JSON object".to_string()),
+        Err(err) => Err(format!("line is not valid JSON: {err}")),
+    }
 }
 
-/// Extracts a string field (`"key":"value"`) from a single-line JSON object.
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
+/// The unsigned integer field `key` of `object`.
+fn u64_field(object: &Value, key: &str) -> Result<u64, String> {
+    object
+        .get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("missing unsigned integer \"{key}\" field"))
 }
 
-fn fail(path: &str, line_no: usize, msg: &str) -> ExitCode {
-    eprintln!("FAIL {path}:{line_no}: {msg}");
-    ExitCode::FAILURE
+/// The non-empty lines of `text`, numbered from 1.
+fn numbered_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .map(|(idx, line)| (idx + 1, line))
+        .filter(|(_, line)| !line.is_empty())
 }
 
 /// Validates a flit-level JSONL trace: shape, known kinds, required fields,
 /// and cycle monotonicity (global and per flow).
-fn validate_trace(path: &str) -> Result<String, ExitCode> {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|err| panic!("read trace file {path}: {err}"));
+fn check_trace(text: &str) -> Result<String, Failure> {
     let mut last_cycle = 0u64;
     let mut per_flow_last: BTreeMap<u64, u64> = BTreeMap::new();
     let mut kind_counts: BTreeMap<&str, u64> = BTreeMap::new();
     let mut events = 0u64;
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return Err(fail(path, line_no, "line is not a JSON object"));
-        }
-        let Some(kind) = field_str(line, "kind") else {
-            return Err(fail(path, line_no, "missing \"kind\" field"));
+    for (line_no, line) in numbered_lines(text) {
+        let fail = |msg: String| (line_no, msg);
+        let event = parse_object(line).map_err(fail)?;
+        let Some(kind) = event.get("kind").and_then(Value::as_str) else {
+            return Err(fail("missing string \"kind\" field".to_string()));
         };
-        let Some(kind) = KNOWN_KINDS.iter().find(|k| **k == kind) else {
-            return Err(fail(path, line_no, &format!("unknown kind \"{kind}\"")));
+        let Some(kind) = KNOWN_KINDS.into_iter().find(|k| *k == kind) else {
+            return Err(fail(format!("unknown kind \"{kind}\"")));
         };
-        let Some(cycle) = field_u64(line, "cycle") else {
-            return Err(fail(path, line_no, "missing \"cycle\" field"));
-        };
+        let cycle = u64_field(&event, "cycle").map_err(fail)?;
         if cycle < last_cycle {
-            return Err(fail(
-                path,
-                line_no,
-                &format!("cycle {cycle} regresses below {last_cycle}: trace is not time-ordered"),
-            ));
+            return Err(fail(format!(
+                "cycle {cycle} regresses below {last_cycle}: trace is not time-ordered"
+            )));
         }
         last_cycle = cycle;
-        if *kind == "fault_transition" {
-            if field_u64(line, "active").is_none() {
-                return Err(fail(path, line_no, "fault_transition missing \"active\""));
-            }
+        if kind == "fault_transition" {
+            u64_field(&event, "active").map_err(|msg| fail(format!("{kind}: {msg}")))?;
         } else {
             // Every flow-scoped event must name its flow, and within one
             // flow cycles must be monotone as well.
-            let Some(flow) = field_u64(line, "flow") else {
-                return Err(fail(
-                    path,
-                    line_no,
-                    &format!("{kind} missing \"flow\" field"),
-                ));
-            };
+            let flow = u64_field(&event, "flow").map_err(|msg| fail(format!("{kind}: {msg}")))?;
             let flow_last = per_flow_last.entry(flow).or_insert(0);
             if cycle < *flow_last {
-                return Err(fail(
-                    path,
-                    line_no,
-                    &format!("flow {flow}: cycle {cycle} regresses below {flow_last}"),
-                ));
+                return Err(fail(format!(
+                    "flow {flow}: cycle {cycle} regresses below {flow_last}"
+                )));
             }
             *flow_last = cycle;
         }
@@ -122,7 +110,7 @@ fn validate_trace(path: &str) -> Result<String, ExitCode> {
         events += 1;
     }
     if events == 0 {
-        return Err(fail(path, 0, "trace contains no events"));
+        return Err((0, "trace contains no events".to_string()));
     }
     let breakdown = kind_counts
         .iter()
@@ -130,61 +118,46 @@ fn validate_trace(path: &str) -> Result<String, ExitCode> {
         .collect::<Vec<_>>()
         .join(" ");
     Ok(format!(
-        "{path}: {events} events over {} flows, time-ordered ({breakdown})",
+        "{events} events over {} flows, time-ordered ({breakdown})",
         per_flow_last.len()
     ))
 }
 
 /// Validates a per-frame series export: required fields, consecutive frame
 /// indices, strictly increasing frame-end cycles.
-fn validate_series(path: &str) -> Result<String, ExitCode> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|err| panic!("read series file {path}: {err}"));
+fn check_series(text: &str) -> Result<String, Failure> {
     let mut prev: Option<(u64, u64)> = None;
     let mut frames = 0u64;
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return Err(fail(path, line_no, "line is not a JSON object"));
-        }
+    for (line_no, line) in numbered_lines(text) {
+        let fail = |msg: String| (line_no, msg);
+        let snapshot = parse_object(line).map_err(fail)?;
         for key in ["flows", "router_occupancy", "link_flits"] {
-            if !line.contains(&format!("\"{key}\":[")) {
-                return Err(fail(path, line_no, &format!("missing \"{key}\" array")));
+            if !matches!(snapshot.get(key), Some(Value::Arr(_))) {
+                return Err(fail(format!("missing \"{key}\" array")));
             }
         }
-        let Some(frame) = field_u64(line, "frame") else {
-            return Err(fail(path, line_no, "missing \"frame\" field"));
-        };
-        let Some(cycle) = field_u64(line, "cycle") else {
-            return Err(fail(path, line_no, "missing \"cycle\" field"));
-        };
+        let frame = u64_field(&snapshot, "frame").map_err(fail)?;
+        let cycle = u64_field(&snapshot, "cycle").map_err(fail)?;
         if let Some((prev_frame, prev_cycle)) = prev {
             if frame != prev_frame + 1 {
-                return Err(fail(
-                    path,
-                    line_no,
-                    &format!("frame {frame} does not follow {prev_frame}: series has a gap"),
-                ));
+                return Err(fail(format!(
+                    "frame {frame} does not follow {prev_frame}: series has a gap"
+                )));
             }
             if cycle <= prev_cycle {
-                return Err(fail(
-                    path,
-                    line_no,
-                    &format!("frame-end cycle {cycle} does not advance past {prev_cycle}"),
-                ));
+                return Err(fail(format!(
+                    "frame-end cycle {cycle} does not advance past {prev_cycle}"
+                )));
             }
         }
         prev = Some((frame, cycle));
         frames += 1;
     }
     if frames == 0 {
-        return Err(fail(path, 0, "series contains no frames"));
+        return Err((0, "series contains no frames".to_string()));
     }
     Ok(format!(
-        "{path}: {frames} consecutive frames, cycles strictly increasing"
+        "{frames} consecutive frames, cycles strictly increasing"
     ))
 }
 
@@ -197,17 +170,19 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let mut summaries = Vec::new();
-    for (path, validate) in [
-        (
-            trace,
-            validate_trace as fn(&str) -> Result<String, ExitCode>,
-        ),
-        (series, validate_series),
+    for (path, check) in [
+        (trace, check_trace as fn(&str) -> Result<String, Failure>),
+        (series, check_series),
     ] {
-        if let Some(path) = path {
-            match validate(path) {
-                Ok(summary) => summaries.push(summary),
-                Err(code) => return code,
+        let Some(path) = path else {
+            continue;
+        };
+        let text = std::fs::read_to_string(path).unwrap_or_else(|err| panic!("read {path}: {err}"));
+        match check(&text) {
+            Ok(summary) => summaries.push(format!("{path}: {summary}")),
+            Err((line_no, msg)) => {
+                eprintln!("FAIL {path}:{line_no}: {msg}");
+                return ExitCode::FAILURE;
             }
         }
     }
@@ -215,4 +190,48 @@ fn main() -> ExitCode {
         println!("OK {summary}");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn well_formed_lines_pass() {
+        let trace = "{\"kind\":\"inject\",\"cycle\":3,\"flow\":1,\"packet\":0,\"node\":1}\n\
+                     {\"kind\":\"fault_transition\",\"cycle\":4,\"active\":1}\n\
+                     {\"kind\":\"dram_service\",\"cycle\":5,\"flow\":1,\"mc\":0,\"bank\":2,\
+                     \"latency\":20,\"row_hit\":true}\n";
+        assert!(check_trace(trace).is_ok());
+        let series = "{\"frame\":0,\"cycle\":500,\"flows\":[],\"router_occupancy\":[1,2],\
+                      \"link_flits\":[3]}\n\
+                      {\"frame\":1,\"cycle\":1000,\"flows\":[],\"router_occupancy\":[0,0],\
+                      \"link_flits\":[0]}\n";
+        assert!(check_series(series).is_ok());
+    }
+
+    #[test]
+    fn malformed_json_is_rejected() {
+        let trace = "{\"kind\":\"grant\",\"cycle\":5,\"flow\":1,,,\"packet\":}";
+        let (line_no, msg) = check_trace(trace).unwrap_err();
+        assert_eq!(line_no, 1);
+        assert!(msg.contains("not valid JSON"), "{msg}");
+        let series = "{\"frame\":0,\"cycle\":500,\"flows\":[,,],\
+                      \"router_occupancy\":[oops,\"link_flits\":[}";
+        let (line_no, msg) = check_series(series).unwrap_err();
+        assert_eq!(line_no, 1);
+        assert!(msg.contains("not valid JSON"), "{msg}");
+    }
+
+    #[test]
+    fn ordering_and_field_violations_name_their_line() {
+        let regress = "{\"kind\":\"nack\",\"cycle\":9,\"flow\":0,\"packet\":1}\n\
+                       {\"kind\":\"nack\",\"cycle\":8,\"flow\":0,\"packet\":2}\n";
+        assert_eq!(check_trace(regress).unwrap_err().0, 2);
+        let flowless = "{\"kind\":\"retry\",\"cycle\":1,\"seq\":0}";
+        assert!(check_trace(flowless).unwrap_err().1.contains("\"flow\""));
+        let gap = "{\"frame\":0,\"cycle\":500,\"flows\":[],\"router_occupancy\":[],\"link_flits\":[]}\n\
+                   {\"frame\":2,\"cycle\":1500,\"flows\":[],\"router_occupancy\":[],\"link_flits\":[]}\n";
+        assert_eq!(check_series(gap).unwrap_err().0, 2);
+    }
 }

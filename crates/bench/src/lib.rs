@@ -15,12 +15,15 @@
 //! | `ablations`       | PVC parameter ablations |
 //! | `chip_scale`      | Chip-scale experiments — isolation, latency under load, MLP-mix divergence, column scaling, QOS area |
 //!
-//! Every binary accepts `--quick` to run a shortened configuration (smaller
-//! warm-up and measurement windows) and prints plain-text tables to stdout.
-//! The plain-timing benches (`router_bench`, `experiment_bench`; built with
-//! `harness = false` via [`measure`]) track the simulator's own performance,
-//! and the `bench_netsim` binary measures engine throughput (cycles/sec)
-//! against the seed-equivalent reference engine, writing `BENCH_netsim.json`.
+//! Every table/figure binary accepts `--quick` to run a shortened
+//! configuration (smaller warm-up and measurement windows) and prints
+//! plain-text tables to stdout.
+//! Two binaries check the simulator rather than reproduce the paper:
+//! `bench_netsim` runs 15 cases on both engines and asserts identical
+//! statistics plus per-case oracles (optionally exporting telemetry), and
+//! `validate_telemetry` checks those exports. No binary times anything:
+//! the repository's benchmark (`BENCHMARK.json`) is the one place the
+//! simulator's speed is measured.
 
 #![warn(missing_docs)]
 
@@ -72,12 +75,28 @@ impl CliArgs {
         self.values.get(name).map(String::as_str)
     }
 
-    /// The value of `--name value` parsed as the requested type, or the
-    /// provided default.
+    /// [`Self::value_or`] with the parse failure returned as an error.
+    fn try_value_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value(name) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| {
+                format!(
+                    "--{name} expects a {}, got {v:?}",
+                    std::any::type_name::<T>()
+                )
+            }),
+        }
+    }
+
+    /// The value of `--name value` parsed as the requested type, or
+    /// `default` when the option is absent. A value that does not parse
+    /// ends the process with a usage error naming the option (exit status
+    /// 2).
     pub fn value_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_value_or(name, default).unwrap_or_else(|msg| {
+            eprintln!("usage error: {msg}");
+            std::process::exit(2)
+        })
     }
 }
 
@@ -85,51 +104,6 @@ impl CliArgs {
 /// aligned in a column of the given width.
 pub fn cell(value: f64, width: usize, decimals: usize) -> String {
     format!("{value:>width$.decimals$}")
-}
-
-/// Timing statistics of one benchmark case measured by [`measure`].
-#[derive(Debug, Clone, Copy)]
-pub struct Measurement {
-    /// Number of timed samples.
-    pub samples: usize,
-    /// Mean wall time per sample in seconds.
-    pub mean_secs: f64,
-    /// Fastest sample in seconds (the least noisy figure on a busy machine).
-    pub min_secs: f64,
-}
-
-/// Runs `f` for `samples` timed iterations (after one untimed warm-up call)
-/// and returns mean and minimum wall time. This replaces the Criterion
-/// harness, which is unavailable in the offline build environment; the bench
-/// targets are compiled with `harness = false` and print these figures
-/// directly.
-pub fn measure<F: FnMut()>(samples: usize, mut f: F) -> Measurement {
-    assert!(samples > 0, "at least one sample required");
-    f();
-    let mut total = 0.0f64;
-    let mut min = f64::INFINITY;
-    for _ in 0..samples {
-        let start = std::time::Instant::now();
-        f();
-        let elapsed = start.elapsed().as_secs_f64();
-        total += elapsed;
-        min = min.min(elapsed);
-    }
-    Measurement {
-        samples,
-        mean_secs: total / samples as f64,
-        min_secs: min,
-    }
-}
-
-/// Prints one benchmark result line in a fixed-width layout.
-pub fn report(group: &str, case: &str, m: Measurement) {
-    println!(
-        "{group:<36} {case:<12} mean {:>10.3} ms   min {:>10.3} ms   ({} samples)",
-        m.mean_secs * 1e3,
-        m.min_secs * 1e3,
-        m.samples
-    );
 }
 
 /// Prints a horizontal rule of the given width.
@@ -153,6 +127,9 @@ mod tests {
         assert_eq!(a.value("pattern"), Some("tornado"));
         assert_eq!(a.value_or("workload", 1u32), 2);
         assert_eq!(a.value_or("missing", 7u32), 7);
+        let bad = args(&["--cycles", "5k"]);
+        let err = bad.try_value_or("cycles", 20_000u64).unwrap_err();
+        assert!(err.contains("--cycles") && err.contains("5k"), "{err}");
     }
 
     #[test]

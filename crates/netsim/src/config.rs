@@ -14,28 +14,30 @@ use serde::{Deserialize, Serialize};
 ///   events on a fixed-horizon timing wheel (with a binary-heap overflow lane
 ///   for rare long delays), reuses per-router arbitration scratch buffers,
 ///   and skips routers, ports and sources with no buffered work.
-/// * [`EngineKind::Reference`] reproduces the original engine's data
-///   structures — a `HashMap` packet store, a pure binary-heap event queue,
-///   per-cycle request `Vec` allocations and full router/port scans. It
-///   exists as the baseline for the `bench_netsim` throughput harness and for
-///   the engine-equivalence tests.
+/// * [`EngineKind::Reference`] keeps the original engine's data structures —
+///   a `HashMap` packet store, a pure binary-heap event queue, a fresh
+///   request list gathered by rescanning every port per output, the
+///   `compute_route` tree walk, plain `select_victim`, and full router/port
+///   scans. It is an oracle only: the engine-equivalence tests and the
+///   `bench_netsim` cross-check compare the optimized engine's statistics
+///   against it. Its speed is not measured anywhere.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
     /// Slab packet store + timing wheel + scratch-buffer arbitration +
     /// active-set tracking.
     #[default]
     Optimized,
-    /// Seed-equivalent engine: hash-map store, binary-heap queue, full scans.
+    /// Oracle engine: hash-map store, binary-heap queue, full scans.
     Reference,
 }
 
 impl EngineKind {
-    /// Whether this is the reference (seed-equivalent) engine.
+    /// Whether this is the reference (oracle) engine.
     pub fn is_reference(self) -> bool {
         matches!(self, EngineKind::Reference)
     }
 
-    /// Short name used in benchmark reports.
+    /// Short lowercase name of the engine.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Optimized => "optimized",

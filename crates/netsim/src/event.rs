@@ -14,7 +14,7 @@
 //!
 //! Constructing the queue with a zero horizon ([`EventQueue::with_horizon`])
 //! degenerates to the original pure binary-heap implementation, which the
-//! reference engine uses as the measurable baseline.
+//! reference engine uses as the ordering oracle for the wheel.
 
 use crate::config::EngineKind;
 use crate::ids::{Cycle, FlowId, PacketId, VcId};
@@ -348,13 +348,6 @@ impl EventQueue {
         self.floor = now + 1;
     }
 
-    /// Pops all events due at or before `now`, in scheduling order.
-    pub fn drain_due(&mut self, now: Cycle) -> Vec<Event> {
-        let mut due = Vec::new();
-        self.drain_due_into(now, &mut due);
-        due
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.pending
@@ -397,6 +390,13 @@ mod tests {
         }
     }
 
+    /// Drains the events due by `now` into a fresh buffer.
+    fn drain(q: &mut EventQueue, now: Cycle) -> Vec<Event> {
+        let mut due = Vec::new();
+        q.drain_due_into(now, &mut due);
+        due
+    }
+
     #[test]
     fn events_are_narrow() {
         // The queue stores millions of events; regressing the size of the
@@ -413,11 +413,11 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.next_due(), Some(5));
 
-        let due = q.drain_due(7);
+        let due = drain(&mut q, 7);
         assert_eq!(due, vec![ack(1), ack(2)]);
         assert_eq!(q.len(), 1);
 
-        let due = q.drain_due(20);
+        let due = drain(&mut q, 20);
         assert_eq!(due, vec![ack(0)]);
         assert!(q.is_empty());
     }
@@ -428,7 +428,7 @@ mod tests {
         for i in 0..10 {
             q.schedule(3, ack(i));
         }
-        let due = q.drain_due(3);
+        let due = drain(&mut q, 3);
         let expected: Vec<Event> = (0..10).map(ack).collect();
         assert_eq!(due, expected);
     }
@@ -437,7 +437,7 @@ mod tests {
     fn nothing_due_before_time() {
         let mut q = EventQueue::new();
         q.schedule(100, ack(0));
-        assert!(q.drain_due(99).is_empty());
+        assert!(drain(&mut q, 99).is_empty());
         assert_eq!(q.len(), 1);
     }
 
@@ -445,7 +445,8 @@ mod tests {
     fn wheel_and_heap_queues_agree_on_order() {
         // Drive both queue flavours through an adversarial schedule (in- and
         // out-of-window delays, same-cycle collisions, interleaved drains)
-        // and demand identical drain sequences.
+        // and demand identical drain sequences. Both drain into reused
+        // buffers, as both engines do.
         let mut lcg = 12345u64;
         let mut next = move || {
             lcg = lcg
@@ -455,6 +456,14 @@ mod tests {
         };
         let mut wheel = EventQueue::with_horizon(8);
         let mut heap = EventQueue::with_horizon(0);
+        let (mut wheel_due, mut heap_due) = (Vec::new(), Vec::new());
+        let mut drain_both = |wheel: &mut EventQueue, heap: &mut EventQueue, now: Cycle| {
+            wheel_due.clear();
+            heap_due.clear();
+            wheel.drain_due_into(now, &mut wheel_due);
+            heap.drain_due_into(now, &mut heap_due);
+            assert_eq!(wheel_due, heap_due, "diverged at {now}");
+        };
         let mut now = 0;
         for i in 0..2_000u64 {
             let delay = match next() % 5 {
@@ -470,15 +479,11 @@ mod tests {
             heap.schedule(now + delay, ack(i as usize));
             if next() % 3 == 0 {
                 now += 1 + next() % 3;
-                assert_eq!(
-                    wheel.drain_due(now),
-                    heap.drain_due(now),
-                    "diverged at {now}"
-                );
+                drain_both(&mut wheel, &mut heap, now);
             }
         }
         now += 64;
-        assert_eq!(wheel.drain_due(now), heap.drain_due(now));
+        drain_both(&mut wheel, &mut heap, now);
         assert!(wheel.is_empty());
         assert!(heap.is_empty());
     }
@@ -488,11 +493,11 @@ mod tests {
         let mut q = EventQueue::with_horizon(4);
         // seq 0: far event (overflow lane), due 10.
         q.schedule(10, ack(0));
-        q.drain_due(7); // window is now [8, 12): due 10 stays in overflow.
-                        // seq 1: near event, same due cycle, lands in the wheel.
+        drain(&mut q, 7); // window is now [8, 12): due 10 stays in overflow.
+                          // seq 1: near event, same due cycle, lands in the wheel.
         q.schedule(10, ack(1));
         // The overflow event was scheduled first and must fire first.
-        assert_eq!(q.drain_due(10), vec![ack(0), ack(1)]);
+        assert_eq!(drain(&mut q, 10), vec![ack(0), ack(1)]);
     }
 
     #[test]
@@ -500,22 +505,22 @@ mod tests {
         let mut q = EventQueue::with_horizon(8);
         // seq 0: scheduled two cycles ahead, lands in the wheel slot for 2.
         q.schedule(2, ack(0));
-        q.drain_due(1); // floor is now 2
-                        // seq 1: due at the floor, takes the flat lane.
+        drain(&mut q, 1); // floor is now 2
+                          // seq 1: due at the floor, takes the flat lane.
         q.schedule(2, ack(1));
         // Wheel entry first (scheduled earlier), lane entry second.
         assert_eq!(q.next_due(), Some(2));
-        assert_eq!(q.drain_due(2), vec![ack(0), ack(1)]);
+        assert_eq!(drain(&mut q, 2), vec![ack(0), ack(1)]);
         assert!(q.is_empty());
     }
 
     #[test]
     fn stale_due_cycles_fire_at_next_drain() {
         let mut q = EventQueue::new();
-        q.drain_due(50);
+        drain(&mut q, 50);
         q.schedule(10, ack(0)); // already in the past: clamped forward
         assert_eq!(q.next_due(), Some(51));
-        assert_eq!(q.drain_due(51), vec![ack(0)]);
+        assert_eq!(drain(&mut q, 51), vec![ack(0)]);
     }
 
     #[test]

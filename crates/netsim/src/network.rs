@@ -815,14 +815,6 @@ impl Network {
 
     // taqos-lint: hot
     fn phase_events(&mut self) {
-        if self.config.engine.is_reference() {
-            // Seed behaviour: a fresh vector of due events every cycle.
-            let due = self.events.drain_due(self.now);
-            for event in due {
-                self.apply_event(event);
-            }
-            return;
-        }
         // The drained events are collected into a reusable buffer so the
         // steady-state event phase performs no heap allocation.
         let mut scratch = std::mem::take(&mut self.event_scratch);
@@ -2566,14 +2558,8 @@ impl Network {
         let node = self.routers[router].node;
         // Victim candidates are gathered into a reusable buffer: under
         // saturation a probe fires for every blocked output every cycle, so
-        // this path must not allocate. The reference engine allocates a
-        // fresh vector per probe, as the seed did.
-        let mut candidates = if self.config.engine.is_reference() {
-            // taqos-lint: allow(hot-alloc) -- reference engine allocates per probe, as the seed did
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.probe_scratch)
-        };
+        // this path must not allocate.
+        let mut candidates = std::mem::take(&mut self.probe_scratch);
         candidates.clear();
         for vc in &self.routers[router].inputs[in_port].vcs {
             if vc.is_resident_idle() {

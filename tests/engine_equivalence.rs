@@ -4,7 +4,7 @@
 //! queue, scratch-buffer arbitration, active-set tracking) must be
 //! *cycle-for-cycle equivalent* to the reference engine that reproduces the
 //! seed implementation's data structures (hash-map store, binary-heap queue,
-//! per-cycle allocations, full scans). These tests compare entire
+//! rescan request gather, full scans). These tests compare entire
 //! [`NetStats`] values with `==` — every counter, per-flow vector and energy
 //! figure must match exactly, on every topology family, with and without
 //! preemption in play.
@@ -60,6 +60,8 @@ fn closed_stats(topology: ColumnTopology, engine: EngineKind, seed: u64) -> NetS
 fn open_loop_stats_match_reference_engine() {
     for topology in [
         ColumnTopology::MeshX1,
+        ColumnTopology::MeshX2,
+        ColumnTopology::MeshX4,
         ColumnTopology::Mecs,
         ColumnTopology::Dps,
     ] {
