@@ -816,6 +816,31 @@ impl RequesterState {
         }
     }
 
+    /// The first cycle at which time alone gives this requester work: its
+    /// next phase change, the deadline of its front in-flight request
+    /// (`in_flight` is in send order, so the front expires first) or its
+    /// earliest deferred-retry ready time; `Cycle::MAX` if none is pending.
+    /// `deadline` is the retry policy's deadline, if a policy is installed.
+    // taqos-lint: hot
+    pub(crate) fn next_timed_work(&self, deadline: Option<Cycle>) -> Cycle {
+        let phase = self
+            .schedule
+            .changes
+            .get(self.next_phase)
+            .map_or(Cycle::MAX, |c| c.at);
+        let expiry = match (deadline, self.in_flight.first()) {
+            (Some(deadline), Some(front)) => front.sent.saturating_add(deadline),
+            _ => Cycle::MAX,
+        };
+        let retry = self
+            .deferred
+            .iter()
+            .map(|d| d.ready)
+            .min()
+            .unwrap_or(Cycle::MAX);
+        phase.min(expiry).min(retry)
+    }
+
     /// Removes and returns the first deferred retry whose backoff has
     /// elapsed by `now`.
     // taqos-lint: hot
@@ -1002,15 +1027,149 @@ impl McState {
     }
 }
 
+/// Sentinel node index: the end of a lane, or of the free list.
+const NO_NODE: u32 = u32::MAX;
+
+/// One waiting reply: a node of [`ReplyLanes`]' shared pool.
+#[derive(Debug, Clone, Copy)]
+struct LaneNode {
+    reply: PacketId,
+    /// Arrival sequence: ties between equal priorities go to the earliest.
+    seq: u64,
+    /// Next node of the same lane (or of the free list), or [`NO_NODE`].
+    next: u32,
+}
+
+/// The controllers' waiting replies: one FIFO lane per flow, plus, for each
+/// reply port (source), the flows whose lane is non-empty. A flow's replies
+/// are always released at its controller's single reply port and all share
+/// the flow's priority, so the best waiting reply at a port — lowest
+/// priority, then earliest arrival — is the head of one of that port's
+/// waiting lanes: a pick costs one priority per waiting flow rather than one
+/// per waiting reply. The lanes are linked lists threaded through one pool
+/// whose nodes are recycled, so after the pool reaches the run's peak of
+/// waiting replies, releasing and picking allocate nothing.
+#[derive(Debug)]
+pub(crate) struct ReplyLanes {
+    /// First and last pool node of each flow's lane (`head == NO_NODE`
+    /// when the lane is empty).
+    lanes: Vec<(u32, u32)>,
+    /// Node pool shared by every lane.
+    pool: Vec<LaneNode>,
+    /// Head of the free-node list threaded through `pool`.
+    free: u32,
+    /// For each source: the flows whose lane holds a waiting reply, in no
+    /// particular order.
+    waiting: Vec<Vec<FlowId>>,
+    /// Arrival sequence of the next released reply.
+    next_seq: u64,
+}
+
+impl ReplyLanes {
+    /// Empty lanes for `num_flows` flows, with room for `capacity` waiting
+    /// replies before the pool grows. `flows_per_source[s]` is the number
+    /// of flows whose replies source `s` injects.
+    pub(crate) fn new(num_flows: usize, flows_per_source: &[usize], capacity: usize) -> Self {
+        ReplyLanes {
+            lanes: vec![(NO_NODE, NO_NODE); num_flows],
+            pool: Vec::with_capacity(capacity),
+            free: NO_NODE,
+            waiting: flows_per_source
+                .iter()
+                .map(|&n| Vec::with_capacity(n))
+                .collect(),
+            next_seq: 0,
+        }
+    }
+
+    /// Queues `reply` of `flow` at the reply port `source`.
+    // taqos-lint: hot
+    pub(crate) fn push(&mut self, source: usize, reply: PacketId, flow: FlowId) {
+        let node = LaneNode {
+            reply,
+            seq: self.next_seq,
+            next: NO_NODE,
+        };
+        self.next_seq += 1;
+        let idx = match self.pool.get_mut(self.free as usize) {
+            Some(slot) => {
+                let idx = self.free;
+                self.free = slot.next;
+                *slot = node;
+                idx
+            }
+            None => {
+                self.pool.push(node);
+                (self.pool.len() - 1) as u32
+            }
+        };
+        let (Some(lane), Some(waiting)) = (
+            self.lanes.get_mut(flow.index()),
+            self.waiting.get_mut(source),
+        ) else {
+            // taqos-lint: allow(panic-path) -- lanes cover every flow and waiting lists every source, both sized at construction
+            unreachable!("reply of flow {flow:?} released at unknown source {source}")
+        };
+        match self.pool.get_mut(lane.1 as usize) {
+            Some(tail) if lane.0 != NO_NODE => tail.next = idx,
+            _ => {
+                lane.0 = idx;
+                waiting.push(flow);
+            }
+        }
+        lane.1 = idx;
+        debug_assert!(waiting.contains(&flow), "a flow's replies share one source");
+    }
+
+    /// Picks the waiting reply at `source` whose flow has the best (lowest)
+    /// priority under `priority`, breaking ties by arrival order, and
+    /// removes it.
+    // taqos-lint: hot
+    pub(crate) fn pop_best(
+        &mut self,
+        source: usize,
+        mut priority: impl FnMut(FlowId) -> u64,
+    ) -> Option<(PacketId, FlowId)> {
+        let waiting = self.waiting.get_mut(source)?;
+        let mut best: Option<(usize, (u64, u64))> = None;
+        for (idx, &flow) in waiting.iter().enumerate() {
+            let head = self.lanes.get(flow.index())?.0;
+            let seq = self.pool.get(head as usize)?.seq;
+            let key = (priority(flow), seq);
+            if best.is_none_or(|(_, k)| key < k) {
+                best = Some((idx, key));
+            }
+        }
+        let (idx, _) = best?;
+        let flow = *waiting.get(idx)?;
+        let lane = self.lanes.get_mut(flow.index())?;
+        let head = lane.0;
+        let node = self.pool.get_mut(head as usize)?;
+        let reply = node.reply;
+        lane.0 = node.next;
+        node.next = self.free;
+        self.free = head;
+        if lane.0 == NO_NODE {
+            waiting.swap_remove(idx);
+        }
+        Some((reply, flow))
+    }
+
+    /// Whether any reply is waiting at `source`.
+    // taqos-lint: hot
+    pub(crate) fn has_waiting(&self, source: usize) -> bool {
+        self.waiting.get(source).is_some_and(|w| !w.is_empty())
+    }
+}
+
 /// Runtime state of the closed loop, owned by the network.
 #[derive(Debug)]
 pub(crate) struct ClosedLoopState {
     /// Per-flow requester state, indexed by flow identifier.
     pub(crate) requesters: Vec<Option<RequesterState>>,
-    /// Pending replies per source, in arrival order as `(packet, flow)`.
-    /// Replies wait here (not in the source's FIFO queue) so the controller
-    /// can inject the highest-priority flow's reply first.
-    pub(crate) pending_replies: Vec<VecDeque<(PacketId, FlowId)>>,
+    /// Replies released at the controllers and not yet pulled into their
+    /// reply port's source queue.
+    pub(crate) replies: ReplyLanes,
     /// For each node: the source index that injects that node's replies,
     /// if the node hosts a source (the lowest-indexed one).
     pub(crate) node_reply_source: Vec<Option<usize>>,
@@ -1073,6 +1232,29 @@ impl ClosedLoopState {
                 }
             }
         }
+        // A flow has at most its largest MLP window of requests outstanding,
+        // so the sum bounds the waiting replies — unless a retry policy lets
+        // a retried request's reply race its original's. The lanes start
+        // with half as much room again for such duplicates (the faulted
+        // incast peaks about 15% above the sum); past that the pool grows.
+        let mut max_outstanding = 0;
+        let mut flows_per_source = vec![0; net.sources.len()];
+        for (flow, requester) in spec.requesters.iter().enumerate() {
+            let Some(requester) = requester else { continue };
+            let schedule = spec.phases.schedules.get(flow);
+            let phase_max = schedule.and_then(|s| s.changes.iter().map(|c| c.mlp).max());
+            max_outstanding += requester.mlp.max(phase_max.unwrap_or(0));
+            if let Some(&Some(source)) = node_reply_source.get(requester.mc.index()) {
+                if let Some(count) = flows_per_source.get_mut(source) {
+                    *count += 1;
+                }
+            }
+        }
+        let reply_room = if spec.retry.is_some() {
+            max_outstanding + max_outstanding / 2
+        } else {
+            max_outstanding
+        };
         ClosedLoopState {
             requesters: spec
                 .requesters
@@ -1085,7 +1267,7 @@ impl ClosedLoopState {
                     })
                 })
                 .collect(),
-            pending_replies: vec![VecDeque::new(); net.sources.len()],
+            replies: ReplyLanes::new(num_flows, &flows_per_source, reply_room),
             node_reply_source,
             dram: spec.dram,
             mc_states,
@@ -1112,32 +1294,6 @@ impl ClosedLoopState {
             *weight = ((rate * VCLOCK_SCALE as f64).round() as u64).max(1);
         }
         self.total_weight = self.weights.iter().sum::<u64>().max(1);
-    }
-
-    /// Picks the pending reply at `source` whose flow has the best (lowest)
-    /// priority under `priority`, breaking ties by arrival order, and removes
-    /// it from the pending set.
-    // taqos-lint: hot
-    pub(crate) fn pop_best_reply(
-        &mut self,
-        source: usize,
-        mut priority: impl FnMut(FlowId) -> u64,
-    ) -> Option<(PacketId, FlowId)> {
-        let pending = &mut self.pending_replies[source];
-        let mut best: Option<(usize, u64)> = None;
-        for (idx, &(_, flow)) in pending.iter().enumerate() {
-            let p = priority(flow);
-            if best.is_none_or(|(_, bp)| p < bp) {
-                best = Some((idx, p));
-            }
-        }
-        best.and_then(|(idx, _)| pending.remove(idx))
-    }
-
-    /// Whether any reply is waiting at `source`.
-    // taqos-lint: hot
-    pub(crate) fn has_pending_replies(&self, source: usize) -> bool {
-        !self.pending_replies[source].is_empty()
     }
 
     /// Whether every requester has spent its budget and seen all replies. An
@@ -1286,26 +1442,104 @@ mod tests {
 
     #[test]
     fn best_reply_selection_prefers_low_priority_then_arrival() {
-        let spec = ClosedLoopSpec::new(0);
-        let net = NetworkSpec {
-            name: "empty".to_string(),
-            routers: Vec::new(),
-            sources: Vec::new(),
-            sinks: Vec::new(),
-            flit_bytes: 16,
-        };
-        let mut state = ClosedLoopState::new(&spec, &net);
-        state.pending_replies = vec![VecDeque::new()];
-        state.pending_replies[0].push_back((PacketId(10), FlowId(0)));
-        state.pending_replies[0].push_back((PacketId(11), FlowId(1)));
-        state.pending_replies[0].push_back((PacketId(12), FlowId(2)));
+        let mut state = ReplyLanes::new(3, &[3], 2);
+        state.push(0, PacketId(10), FlowId(0));
+        state.push(0, PacketId(11), FlowId(1));
+        state.push(0, PacketId(12), FlowId(2));
         // Flow 1 holds the best priority.
-        let picked = state.pop_best_reply(0, |f| if f == FlowId(1) { 1 } else { 5 });
+        let picked = state.pop_best(0, |f| if f == FlowId(1) { 1 } else { 5 });
         assert_eq!(picked, Some((PacketId(11), FlowId(1))));
         // Remaining ties resolve in arrival order.
-        let picked = state.pop_best_reply(0, |_| 7);
+        let picked = state.pop_best(0, |_| 7);
         assert_eq!(picked, Some((PacketId(10), FlowId(0))));
-        assert!(state.has_pending_replies(0));
+        assert!(state.has_waiting(0));
+
+        // Many replies from few flows: each flow's replies leave in arrival
+        // order, and equal priorities interleave the flows by arrival.
+        let mut state = ReplyLanes::new(2, &[0], 0);
+        for (id, flow) in [
+            (20, 0),
+            (21, 1),
+            (22, 0),
+            (23, 0),
+            (24, 1),
+            (25, 1),
+            (26, 0),
+        ] {
+            state.push(0, PacketId(id), FlowId(flow));
+        }
+        let prio = |f: FlowId| if f == FlowId(1) { 2 } else { 9 };
+        let order: Vec<u64> = std::iter::from_fn(|| state.pop_best(0, prio))
+            .map(|(p, _)| p.0)
+            .collect();
+        assert_eq!(order, [21, 24, 25, 20, 22, 23, 26]);
+        assert!(!state.has_waiting(0));
+        for (id, flow) in [(30, 1), (31, 0), (32, 1), (33, 0)] {
+            state.push(0, PacketId(id), FlowId(flow));
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| state.pop_best(0, |_| 4))
+            .map(|(p, _)| p.0)
+            .collect();
+        assert_eq!(order, [30, 31, 32, 33]);
+    }
+
+    /// Model check of the reply lanes: seeded random release/pick sequences
+    /// with random, changing per-flow priorities pick exactly what the
+    /// single arrival-ordered queue with a linear lowest-priority scan (the
+    /// controllers' original rule, kept here as the model) picks.
+    #[test]
+    fn reply_lanes_pick_what_the_linear_scan_picks() {
+        fn splitmix(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        for seed in 0..64u64 {
+            let mut rng = seed;
+            let num_flows = 1 + (splitmix(&mut rng) % 12) as usize;
+            let num_sources = 1 + (splitmix(&mut rng) % 3) as usize;
+            // Each flow's replies are released at one fixed source.
+            let home: Vec<usize> = (0..num_flows)
+                .map(|_| (splitmix(&mut rng) % num_sources as u64) as usize)
+                .collect();
+            let mut priority: Vec<u64> = (0..num_flows).map(|_| splitmix(&mut rng) % 4).collect();
+            let mut lanes = ReplyLanes::new(num_flows, &vec![0; num_sources], num_flows);
+            let mut model: Vec<VecDeque<(PacketId, FlowId)>> = vec![VecDeque::new(); num_sources];
+            let mut next_id = 0u64;
+            for _ in 0..400 {
+                let roll = splitmix(&mut rng) % 10;
+                if roll < 5 {
+                    let flow = (splitmix(&mut rng) % num_flows as u64) as usize;
+                    let id = PacketId(next_id);
+                    next_id += 1;
+                    lanes.push(home[flow], id, FlowId(flow as u16));
+                    model[home[flow]].push_back((id, FlowId(flow as u16)));
+                } else if roll < 9 {
+                    let source = (splitmix(&mut rng) % num_sources as u64) as usize;
+                    let pending = &mut model[source];
+                    let mut best: Option<(usize, u64)> = None;
+                    for (idx, &(_, flow)) in pending.iter().enumerate() {
+                        let p = priority[flow.index()];
+                        if best.is_none_or(|(_, bp)| p < bp) {
+                            best = Some((idx, p));
+                        }
+                    }
+                    let expected = best.and_then(|(idx, _)| pending.remove(idx));
+                    let got = lanes.pop_best(source, |f| priority[f.index()]);
+                    assert_eq!(got, expected, "seed {seed}: pick at source {source}");
+                    assert_eq!(
+                        lanes.has_waiting(source),
+                        !model[source].is_empty(),
+                        "seed {seed}: waiting state at source {source}"
+                    );
+                } else {
+                    let flow = (splitmix(&mut rng) % num_flows as u64) as usize;
+                    priority[flow] = splitmix(&mut rng) % 4;
+                }
+            }
+        }
     }
 
     #[test]

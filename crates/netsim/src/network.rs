@@ -206,6 +206,15 @@ fn unmark_router(mask: &mut [u64], ri: usize) {
     mask[ri >> 6] &= !(1 << (ri & 63));
 }
 
+/// Wakes source `si` for the next source phase (see
+/// [`Network::source_wake`]).
+// taqos-lint: hot
+#[inline]
+fn wake_source(wake: &mut [Cycle], si: usize) {
+    // taqos-lint: allow(panic-index) -- the wake array holds one slot per source and si is a live source index
+    wake[si] = 0;
+}
+
 /// Collects the set-bit router indices of an activity mask into `out`
 /// (ascending, the order the unmasked scans visit routers in).
 #[inline]
@@ -257,6 +266,17 @@ pub struct Network {
     launch_work: Vec<u64>,
     /// Reusable buffer of candidate router indices for the masked scans.
     router_scan: Vec<u32>,
+    /// Next cycle at which each source has work (optimized engine; the
+    /// reference engine visits every source every cycle). The source phase
+    /// skips a source while its entry lies in the future. A source with
+    /// nothing to inject and no live generator sleeps until its next timed
+    /// closed-loop work (phase change, deadline or retry; see
+    /// `RequesterState::next_timed_work`), or indefinitely. The five things
+    /// that can give a sleeping source work — `CreditToSource`, `Ack` and
+    /// `Nack` events, a reply released at its controller, and a reply
+    /// delivered to its requester — wake it eagerly by resetting the entry
+    /// to 0. A source with a live generator never sleeps.
+    source_wake: Vec<Cycle>,
     /// Reusable buffer for preemption victim candidates.
     probe_scratch: Vec<(PacketId, FlowId, bool)>,
     /// Reusable buffer for candidates annotated with cached priorities.
@@ -386,7 +406,8 @@ impl Network {
             .map(|r| policy.router_qos(r, spec.num_flows()))
             .collect();
 
-        let mut flow_to_source = vec![0usize; spec.sources.len()];
+        let num_sources = spec.sources.len();
+        let mut flow_to_source = vec![0usize; num_sources];
         let sources: Vec<SourceState> = spec
             .sources
             .iter()
@@ -435,6 +456,7 @@ impl Network {
             alloc_work: vec![0; num_router_blocks],
             launch_work: vec![0; num_router_blocks],
             router_scan: Vec::new(),
+            source_wake: vec![0; num_sources],
             probe_scratch: Vec::new(),
             probe_prioritized_scratch: Vec::new(),
             unlimited,
@@ -903,12 +925,14 @@ impl Network {
             }
             Event::CreditToSource { source, vc } => {
                 self.sources[source as usize].free_vcs.push(vc);
+                wake_source(&mut self.source_wake, source as usize);
             }
             Event::Ack { source, packet } => {
                 // A packet left the system (delivered, or abandoned by the
                 // fault layer): that is forward progress for the watchdog.
                 self.last_progress = self.now;
                 self.sources[source as usize].acknowledge(packet);
+                wake_source(&mut self.source_wake, source as usize);
                 self.packets.remove(packet);
             }
             Event::Nack { source, packet } => {
@@ -922,6 +946,7 @@ impl Network {
                     });
                 }
                 self.sources[source as usize].retransmit(packet);
+                wake_source(&mut self.source_wake, source as usize);
             }
             Event::PreemptionProbe {
                 router,
@@ -1353,6 +1378,10 @@ impl Network {
                 let Some(requester) = cl.requesters[flow.index()].as_mut() else {
                     return;
                 };
+                // The reply may free a window slot: the requester's source
+                // gets a look this cycle.
+                // taqos-lint: allow(panic-index) -- flow ids are dense over the sources, checked at construction
+                wake_source(&mut self.source_wake, self.flow_to_source[flow.index()]);
                 // Under a retry policy the reply must match a sequence
                 // number the requester still considers live: either waiting
                 // for this reply, or already timed out and parked for a
@@ -1429,8 +1458,9 @@ impl Network {
             .as_mut()
             // taqos-lint: allow(panic-path) -- request/reply bookkeeping is only reached under an active closed loop
             .expect("closed loop active")
-            .pending_replies[reply_source]
-            .push_back((reply_id, flow));
+            .replies
+            .push(reply_source, reply_id, flow);
+        wake_source(&mut self.source_wake, reply_source);
     }
 
     /// A DRAM bank completed: release the reply of the serviced request and
@@ -1592,6 +1622,7 @@ impl Network {
     // taqos-lint: hot
     fn phase_sources(&mut self) {
         let now = self.now;
+        let reference = self.config.engine.is_reference();
         // Split-borrow the fields once so the per-source loop indexes each
         // source a single time instead of re-indexing `self.sources[si]` at
         // every access.
@@ -1607,10 +1638,18 @@ impl Network {
             trace,
             routing_work,
             alloc_work,
+            source_wake,
             ..
         } = self;
         for (si, source) in sources.iter_mut().enumerate() {
-            // 1. Traffic generation — one generator call per cycle. An
+            // Sleeping sources are skipped in the optimized engine; the
+            // reference engine visits every source, so engine equivalence
+            // checks that no wake was missed.
+            // taqos-lint: allow(panic-index) -- the wake array holds one slot per source
+            if !reference && source_wake[si] > now {
+                continue;
+            }
+            // 1. Traffic generation — at most one generator call per cycle. An
             // exhausted generator returns `None` without consuming entropy
             // (the `PacketGenerator` contract), and a source that also has
             // nothing queued or streaming has no per-cycle work at all
@@ -1619,6 +1658,9 @@ impl Network {
             // of polling a generator: one request whenever the window has
             // room and the budget allows. Under a DRAM model the request also
             // carries the next cache line of the flow's private stream.
+            // A requester that cannot issue records when time alone next
+            // gives it work in `requester_wake`.
+            let mut requester_wake = None;
             let mut dram_line = None;
             let mut req_seq = None;
             let mut logical_birth = None;
@@ -1641,14 +1683,16 @@ impl Network {
                     // window slot so the flow keeps making progress past
                     // genuinely lost requests.
                     if let Some(policy) = retry {
-                        let mut i = 0;
-                        while i < requester.in_flight.len() {
-                            let entry = requester.in_flight[i];
-                            if now < entry.sent + policy.deadline {
-                                i += 1;
-                                continue;
-                            }
-                            requester.in_flight.remove(i);
+                        // Both push sites stamp `sent: now` and removals keep
+                        // the order, so only a prefix can have expired.
+                        debug_assert!(
+                            requester.in_flight.is_sorted_by_key(|entry| entry.sent),
+                            "in-flight requests stay in send order"
+                        );
+                        let expired = requester.in_flight.partition_point(|entry| {
+                            entry.sent.saturating_add(policy.deadline) <= now
+                        });
+                        for entry in requester.in_flight.drain(..expired) {
                             if entry.attempts >= policy.max_attempts {
                                 requester.outstanding -= 1;
                                 stats.record_request_abandoned(flow);
@@ -1722,6 +1766,8 @@ impl Network {
                             class: PacketClass::Request,
                         })
                     } else {
+                        requester_wake =
+                            Some(requester.next_timed_work(retry.map(|policy| policy.deadline)));
                         None
                     }
                 }
@@ -1743,32 +1789,48 @@ impl Network {
                     packet
                 });
                 source.enqueue_generated(id, gen.len_flits);
-            } else if closed_loop
-                .as_ref()
-                .is_some_and(|cl| cl.has_pending_replies(si))
-            {
+            } else {
                 // Controller reply port: when the source queue is free, pull
                 // the pending reply of the highest-priority flow into it —
                 // the controller is a QOS arbitration point, so the reply
                 // order follows flow priority, not head-of-line arrival.
-                // NACKed replies re-queued at the front drain first.
-                if source.active.is_none()
-                    && source.queue.is_empty()
-                    && source.window.len() < source.window_limit
-                    && !source.free_vcs.is_empty()
-                {
-                    let router_qos = &qos[source.router];
-                    let picked = closed_loop
-                        .as_mut()
-                        // taqos-lint: allow(panic-path) -- pending_replies is only populated under a closed loop
-                        .expect("pending replies imply closed loop")
-                        .pop_best_reply(si, |flow| router_qos.priority(flow));
+                // NACKed replies re-queued at the front drain first. The
+                // optimized engine reads the router's priority memo; the
+                // reference engine asks the QOS model, so it stays the
+                // memo's oracle here too.
+                let waiting = closed_loop.as_mut().filter(|cl| cl.replies.has_waiting(si));
+                let has_waiting = waiting.is_some();
+                if let Some(cl) = waiting.filter(|_| {
+                    source.active.is_none()
+                        && source.queue.is_empty()
+                        && source.window.len() < source.window_limit
+                        && !source.free_vcs.is_empty()
+                }) {
+                    let router = source.router;
+                    let picked = if reference {
+                        // taqos-lint: allow(panic-index) -- every source injects into a live router
+                        let router_qos = &qos[router];
+                        cl.replies.pop_best(si, |flow| router_qos.priority(flow))
+                    } else {
+                        // taqos-lint: allow(panic-index) -- every source injects into a live router
+                        let (router_state, router_qos) = (&mut routers[router], &*qos[router]);
+                        cl.replies
+                            .pop_best(si, |flow| cached_priority(router_state, router_qos, flow))
+                    };
                     if let Some((reply, _)) = picked {
                         source.queue.push_back(reply);
                     }
+                } else if source.active.is_none() && !source.can_start_injection() {
+                    // Nothing to inject or stream. Requesters and reply
+                    // ports run idle generators (checked at install), so
+                    // only a plain source asks its generator whether it is
+                    // done; a live one keeps its source awake.
+                    if requester_wake.is_some() || has_waiting || source.generator.exhausted() {
+                        // taqos-lint: allow(panic-index) -- the wake array holds one slot per source
+                        source_wake[si] = requester_wake.unwrap_or(Cycle::MAX);
+                    }
+                    continue;
                 }
-            } else if source.is_idle_this_cycle() {
-                continue;
             }
 
             // 2. Start a new injection if possible.
@@ -3145,14 +3207,20 @@ mod tests {
         }
     }
 
-    fn closed_loop_network(mlp: usize, total: Option<u64>) -> Network {
+    fn closed_loop_network(
+        mlp: usize,
+        total: Option<u64>,
+        retry: Option<crate::closed_loop::RetryPolicy>,
+    ) -> Network {
         let generators: Vec<Box<dyn PacketGenerator>> = vec![
             Box::new(crate::packet::IdleGenerator),
             Box::new(crate::packet::IdleGenerator),
         ];
         let mut requester = crate::closed_loop::RequesterSpec::paper(NodeId(1), mlp);
         requester.total = total;
-        let spec = crate::closed_loop::ClosedLoopSpec::new(2).with_requester(FlowId(0), requester);
+        let mut spec =
+            crate::closed_loop::ClosedLoopSpec::new(2).with_requester(FlowId(0), requester);
+        spec.retry = retry;
         Network::new(
             bidirectional_spec(),
             Box::new(FifoPolicy::new()),
@@ -3166,36 +3234,41 @@ mod tests {
 
     #[test]
     fn closed_loop_round_trips_complete_and_conserve() {
-        let mut net = closed_loop_network(2, Some(20));
-        for _ in 0..5_000 {
-            net.step();
-            if net.is_quiescent() {
-                break;
+        // A deadline too long to ever expire behaves like no retry policy.
+        let endless = crate::closed_loop::RetryPolicy::new(Cycle::MAX, 2);
+        for retry in [None, Some(endless)] {
+            let mut net = closed_loop_network(2, Some(20), retry);
+            for _ in 0..5_000 {
+                net.step();
+                if net.is_quiescent() {
+                    break;
+                }
             }
+            assert!(net.is_quiescent(), "bounded closed loop should complete");
+            let stats = net.into_stats();
+            // 20 requests and 20 replies, all delivered, none timed out.
+            assert_eq!(stats.flows[0].issued_requests, 20);
+            assert_eq!(stats.flows[0].request_timeouts, 0);
+            assert_eq!(stats.round_trips, 20);
+            assert_eq!(stats.flows[0].round_trips, 20);
+            assert_eq!(stats.delivered_packets, 40);
+            // 20 single-flit requests + 20 four-flit replies.
+            assert_eq!(stats.delivered_flits, 20 + 80);
+            // Replies are generated at the controller's source but travel on
+            // the requester's flow.
+            assert_eq!(stats.flows[1].generated_packets, 20);
+            assert_eq!(stats.flows[0].delivered_flits, 80 + 20);
+            assert!(stats.avg_round_trip().expect("round trips measured") > 0.0);
+            // The round trip covers both directions, so it exceeds the
+            // one-way request latency.
+            assert!(stats.avg_round_trip().unwrap() > stats.avg_latency());
         }
-        assert!(net.is_quiescent(), "bounded closed loop should complete");
-        let stats = net.into_stats();
-        // 20 requests and 20 replies, all delivered.
-        assert_eq!(stats.flows[0].issued_requests, 20);
-        assert_eq!(stats.round_trips, 20);
-        assert_eq!(stats.flows[0].round_trips, 20);
-        assert_eq!(stats.delivered_packets, 40);
-        // 20 single-flit requests + 20 four-flit replies.
-        assert_eq!(stats.delivered_flits, 20 + 80);
-        // Replies are generated at the controller's source but travel on the
-        // requester's flow.
-        assert_eq!(stats.flows[1].generated_packets, 20);
-        assert_eq!(stats.flows[0].delivered_flits, 80 + 20);
-        assert!(stats.avg_round_trip().expect("round trips measured") > 0.0);
-        // The round trip covers both directions, so it exceeds the one-way
-        // request latency.
-        assert!(stats.avg_round_trip().unwrap() > stats.avg_latency());
     }
 
     #[test]
     fn mlp_window_self_limits_throughput() {
         let run = |mlp: usize| {
-            let mut net = closed_loop_network(mlp, None);
+            let mut net = closed_loop_network(mlp, None, None);
             net.run_for(2_000);
             net.into_stats().round_trips
         };
@@ -3291,7 +3364,7 @@ mod tests {
         // One uncontended request: the DRAM-backed round trip is the instant
         // controller's round trip plus exactly one row-miss service latency
         // (a cold bank's first access always misses).
-        let mut plain = closed_loop_network(1, Some(1));
+        let mut plain = closed_loop_network(1, Some(1), None);
         run_to_quiescence(&mut plain, 1_000);
         let plain = plain.into_stats();
 

@@ -152,15 +152,6 @@ impl SourceState {
             && self.active.is_none()
     }
 
-    /// Whether the per-cycle source phase can skip this source entirely: no
-    /// packet to generate (generator exhausted), nothing queued to start
-    /// injecting, and no injection streaming. Unlike [`Self::is_drained`]
-    /// this ignores the retransmission window — outstanding packets need no
-    /// per-cycle work until an ACK or NACK event arrives.
-    pub fn is_idle_this_cycle(&self) -> bool {
-        self.active.is_none() && self.queue.is_empty() && self.generator.exhausted()
-    }
-
     /// Records a newly generated packet in the source queue.
     pub fn enqueue_generated(&mut self, packet: PacketId, len_flits: u8) {
         self.queue.push_back(packet);

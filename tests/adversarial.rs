@@ -454,3 +454,106 @@ fn bad_rate_programmes_are_rejected_with_typed_errors() {
         "a frameless policy has no rollover to anchor a rate change to"
     );
 }
+
+/// The bursty MLP-6 incast of the golden pin below: every requester of the
+/// 8×8 chip sends to the victim row's controller, the hogs burst for 400 of
+/// every 1,000 cycles, and the fabric fails (two dead reply links rerouted
+/// at set-up, 3% flit corruption, a 9,000-cycle outage of the incast
+/// controller) under a jittered 2,000-cycle deadline with four attempts.
+fn incast_pin_stats(engine: EngineKind) -> NetStats {
+    use taqos_core::experiment::chip_scale::chip_fault_bench_plan;
+    use taqos_netsim::closed_loop::RetryPolicy;
+    use taqos_netsim::fault::{FaultEvent, FaultKind};
+
+    const CYCLES: u64 = 20_000;
+    let sim = ChipSim::paper_default();
+    let victim = sim.node_id(Coord::new(0, 4));
+    let mut plan = sim.nearest_mc_mlp_plan(6);
+    let mc = plan[victim.index()].expect("the victim issues requests").1;
+    let mut hogs = Vec::new();
+    for (node, slot) in plan.iter_mut().enumerate() {
+        let Some((mlp, dest)) = slot.as_mut() else {
+            continue;
+        };
+        *dest = mc;
+        if node == victim.index() {
+            *mlp = 1;
+        } else {
+            hogs.push(FlowId(node as u16));
+        }
+    }
+    let phases = workloads::bursty_hogs(plan.len(), &hogs, 6, 1_000, 400, CYCLES, 0x1AC5);
+    let mut faults = chip_fault_bench_plan(&sim, 0xFA17);
+    for event in &mut faults.events {
+        if let FaultKind::McOutage { .. } = event.kind {
+            *event = FaultEvent::transient(5_000, 14_000, FaultKind::McOutage { node: mc });
+        }
+    }
+    let spec = workloads::mlp_closed_loop(&plan)
+        .with_phases(phases)
+        .with_retry(RetryPolicy::new(2_000, 4).with_jitter_seed(0x5EED));
+    let sim = sim
+        .with_fault_plan(faults)
+        .with_sim_config(SimConfig::default().with_engine(engine));
+    let mut network = sim
+        .build_closed_loop(sim.default_policy(), spec)
+        .expect("incast chip builds");
+    network.run_for(CYCLES);
+    network.into_stats()
+}
+
+/// Per-flow delivered flits of [`incast_pin_stats`] (the shared column's
+/// nodes, flows 4, 12, …, 60, issue nothing).
+const GOLDEN_INCAST_FLITS: [u64; 64] = [
+    254, 261, 260, 291, 0, 300, 319, 295, 225, 238, 251, 316, 0, 323, 311, 305, 268, 252, 241, 259,
+    0, 244, 242, 266, 239, 254, 237, 249, 0, 238, 256, 249, 306, 260, 245, 249, 0, 256, 257, 257,
+    247, 251, 251, 238, 0, 235, 249, 253, 242, 246, 261, 257, 0, 262, 256, 233, 247, 237, 243, 247,
+    0, 221, 257, 240,
+];
+
+/// Per-flow round-trip latency sums of [`incast_pin_stats`]; flow 32 is
+/// the MLP-1 victim.
+const GOLDEN_INCAST_RT_SUMS: [u64; 64] = [
+    104548, 106183, 106197, 102157, 0, 104531, 105515, 106632, 107541, 101656, 102222, 101434, 0,
+    107229, 102030, 108027, 100075, 108451, 105223, 98480, 0, 90013, 104766, 101741, 100660,
+    102782, 100700, 99862, 0, 108123, 102162, 89318, 19936, 100950, 93924, 99210, 0, 101793,
+    102993, 102071, 99901, 104799, 108972, 107188, 0, 109564, 101108, 99425, 105645, 100746, 88896,
+    101428, 0, 100945, 88961, 107580, 105641, 91307, 90998, 99686, 0, 106951, 99748, 101150,
+];
+
+/// Golden pin of the faulted bursty incast: exact recovery counters and
+/// per-flow delivered flits and round-trip latency sums, on both engines.
+/// Engine equivalence alone cannot see a change that reorders work the same
+/// way in both engines (the controllers' reply order, the requesters'
+/// deadline scan); these values were recorded before the controllers'
+/// per-flow reply lanes and the source wake set replaced the linear reply
+/// scan and the per-cycle source poll.
+#[test]
+fn faulted_incast_matches_its_golden_fingerprint() {
+    for engine in [EngineKind::Optimized, EngineKind::Reference] {
+        let stats = incast_pin_stats(engine);
+        let flits: Vec<u64> = stats.flows.iter().map(|f| f.delivered_flits).collect();
+        let rt_sums: Vec<u64> = stats.flows.iter().map(|f| f.rt_latency_sum).collect();
+        let totals = [
+            stats.round_trips,
+            stats.flows.iter().map(|f| f.request_timeouts).sum(),
+            stats.flows.iter().map(|f| f.request_retries).sum(),
+            stats.flows.iter().map(|f| f.abandoned_requests).sum(),
+            stats.flows.iter().map(|f| f.stale_replies).sum(),
+            stats.flows.iter().map(|f| f.retransmissions).sum::<u64>(),
+        ];
+        assert_eq!(
+            totals,
+            [2321, 1347, 895, 7, 484, 4306],
+            "{engine:?}: round trips, timeouts, retries, abandoned, stale replies, retransmissions"
+        );
+        assert_eq!(
+            flits, GOLDEN_INCAST_FLITS,
+            "{engine:?}: per-flow delivered flits"
+        );
+        assert_eq!(
+            rt_sums, GOLDEN_INCAST_RT_SUMS,
+            "{engine:?}: per-flow round-trip sums"
+        );
+    }
+}
