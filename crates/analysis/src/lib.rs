@@ -81,6 +81,7 @@ impl Config {
             .to_vec(),
             hot_path_files: [
                 "crates/netsim/src/network.rs",
+                "crates/netsim/src/reference.rs",
                 "crates/netsim/src/port.rs",
                 "crates/netsim/src/packet.rs",
                 "crates/netsim/src/closed_loop.rs",

@@ -7,20 +7,27 @@ use serde::{Deserialize, Serialize};
 ///
 /// Both engines are cycle-for-cycle equivalent — they produce bit-identical
 /// [`crate::stats::NetStats`] for the same spec, policy, generators and seed —
-/// but differ in cost:
+/// and share every mechanic that derives nothing (event application, the
+/// source visit, grants, launches, victim flushes). They differ in how they
+/// find their work:
 ///
 /// * [`EngineKind::Optimized`] (the default) stores packets in a generational
 ///   slab arena indexed directly by [`crate::ids::PacketId`], schedules
 ///   events on a fixed-horizon timing wheel (with a binary-heap overflow lane
-///   for rare long delays), reuses per-router arbitration scratch buffers,
-///   and skips routers, ports and sources with no buffered work.
-/// * [`EngineKind::Reference`] keeps the original engine's data structures —
-///   a `HashMap` packet store, a pure binary-heap event queue, a fresh
-///   request list gathered by rescanning every port per output, the
-///   `compute_route` tree walk, plain `select_victim`, and full router/port
-///   scans. It is an oracle only: the engine-equivalence tests and the
-///   `bench_netsim` cross-check compare the optimized engine's statistics
-///   against it. Its speed is not measured anywhere.
+///   for rare long delays), keeps persistent per-output arbitration request
+///   lists with dirty bits and a per-router priority memo, routes through a
+///   dense table, and skips routers and sources with no work.
+/// * [`EngineKind::Reference`] derives everything afresh: a `HashMap` packet
+///   store, a pure binary-heap event queue, full router scans and source
+///   polls, the `compute_route` tree walk, a rescan of every input VC per
+///   output with uncached priorities, and plain `select_victim`. All of it
+///   lives in one file, `crates/netsim/src/reference.rs`. It is an oracle
+///   only: the engine-equivalence tests, the `bench_netsim` cross-check and
+///   the benchmark's correctness gate compare the optimized engine's
+///   statistics against it. Its speed is not measured anywhere.
+///
+/// `Network::step` reads this choice once per cycle; besides the packet
+/// store's and event queue's `for_engine` constructors, nothing else does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
     /// Slab packet store + timing wheel + scratch-buffer arbitration +

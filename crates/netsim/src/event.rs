@@ -12,7 +12,7 @@
 //! mature, so ordering is exactly that of a single heap keyed by
 //! `(due, seq)`: deterministic FIFO per cycle.
 //!
-//! Constructing the queue with a zero horizon ([`EventQueue::with_horizon`])
+//! Constructing the queue with a zero horizon (`EventQueue::with_horizon`)
 //! degenerates to the original pure binary-heap implementation, which the
 //! reference engine uses as the ordering oracle for the wheel.
 
@@ -214,7 +214,7 @@ impl EventQueue {
     /// # Panics
     ///
     /// Panics if `horizon` is neither 0 nor a power of two.
-    pub fn with_horizon(horizon: usize) -> Self {
+    fn with_horizon(horizon: usize) -> Self {
         assert!(
             horizon == 0 || horizon.is_power_of_two(),
             "wheel horizon must be 0 or a power of two, got {horizon}"

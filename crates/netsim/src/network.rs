@@ -24,21 +24,24 @@ use crate::closed_loop::{
     requester_line, ClosedLoopSpec, ClosedLoopState, DeferredRetry, DramBackpressure, DramRequest,
     DramScheduler, InFlightRequest, StalledRequest,
 };
-use crate::config::SimConfig;
+use crate::config::{EngineKind, SimConfig};
 use crate::error::SimError;
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultPlan, FaultState};
-use crate::ids::{Cycle, FlowId, InPortId, NodeId, PacketId, VcId};
+use crate::ids::{Cycle, FlowId, InPortId, NodeId, OutPortId, PacketId, VcId};
 use crate::packet::{GeneratedPacket, Packet, PacketClass, PacketGenerator, PacketStore};
 use crate::port::{Feeder, TargetCreditState, Transfer};
 use crate::qos::{QosPolicy, RouterQos};
-use crate::router::{compute_route, resolve_target_idx, RouterState};
+use crate::router::{resolve_target_idx, ArbRequest, RouterState};
 use crate::sink::SinkState;
 use crate::source::{InjectionTransfer, SourceState};
 use crate::spec::{NetworkSpec, TargetEndpoint};
 use crate::stats::NetStats;
 use crate::vc::VcState;
 use taqos_telemetry::{FrameSampler, TraceEvent, TraceHook, TraceSink};
+
+#[path = "reference.rs"]
+mod reference;
 
 /// What a DRAM-backed controller decided about a packet delivered at a sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,31 +72,6 @@ impl DramAdmission {
             self,
             DramAdmission::Accept | DramAdmission::AcceptEvict(_) | DramAdmission::Stall
         )
-    }
-}
-
-/// Schedules the return of a sink's ejection-slot credit to the output port
-/// feeding it. Shared by normal delivery, DRAM rejection, and the stall
-/// lane's deferred release, so the credit semantics cannot drift apart.
-fn release_sink_credit(
-    events: &mut EventQueue,
-    config: &SimConfig,
-    sink_feeders: &[Option<(usize, usize, usize)>],
-    now: Cycle,
-    sink: usize,
-    slot: VcId,
-) {
-    if let Some((router, out_port, target_idx)) = sink_feeders[sink] {
-        events.schedule(
-            now + config.credit_delay,
-            Event::CreditToRouter {
-                router: router as u32,
-                out_port: out_port as u16,
-                target_idx: target_idx as u16,
-                vc: slot,
-                reserved_vc: false,
-            },
-        );
     }
 }
 
@@ -229,6 +207,121 @@ fn scan_routers(mask: &[u64], out: &mut Vec<u32>) {
     }
 }
 
+/// Schedules the credit of freed VC `vc` of a router input port back to
+/// the port's `feeder`, due at `due`.
+// taqos-lint: hot
+fn return_credit(
+    events: &mut EventQueue,
+    feeder: Option<Feeder>,
+    due: Cycle,
+    vc: usize,
+    reserved_vc: bool,
+) {
+    let vc = VcId(vc as u16);
+    match feeder {
+        Some(Feeder::RouterOutput {
+            router,
+            out_port,
+            target_idx,
+        }) => events.schedule(
+            due,
+            Event::CreditToRouter {
+                router: router as u32,
+                out_port: out_port as u16,
+                target_idx: target_idx as u16,
+                vc,
+                reserved_vc,
+            },
+        ),
+        Some(Feeder::Source { source }) => events.schedule(
+            due,
+            Event::CreditToSource {
+                source: source as u32,
+                vc,
+            },
+        ),
+        None => {}
+    }
+}
+
+/// Retires the head transfer of output `oi` — completed, or dropped by a
+/// fault — and frees the input VC it drained, returning that VC's credit
+/// (due at `credit_due`) to whoever feeds the port.
+// taqos-lint: hot
+fn retire_transfer(
+    router: &mut RouterState,
+    oi: usize,
+    events: &mut EventQueue,
+    credit_due: Cycle,
+) -> Transfer {
+    // taqos-lint: allow(panic-index) -- callers pass an output holding a granted transfer
+    let granted = &mut router.outputs[oi].granted;
+    let transfer = granted.remove(0);
+    if granted.is_empty() {
+        if let Some(mask) = router.granted_mask.as_mut() {
+            *mask &= !(1 << oi);
+        }
+    }
+    // The grant queue shrank: `can_grant` may flip, so the output's
+    // arbitration decision is stale.
+    router.mark_output_dirty(oi);
+    // taqos-lint: allow(panic-index) -- a transfer's source coordinates were recorded from these vectors at grant
+    let port = &mut router.inputs[transfer.from_port.0];
+    let from_vc = transfer.from_vc.index();
+    // taqos-lint: allow(panic-index) -- same coordinates as the port above
+    let vc_state = &mut port.vcs[from_vc];
+    let was_reserved_vc = vc_state.reserved_vc();
+    vc_state.release();
+    port.occupied -= 1;
+    router.active_vcs -= 1;
+    return_credit(events, port.feeder, credit_due, from_vc, was_reserved_vc);
+    transfer
+}
+
+/// One output's arbitration: the winner among the requests whose target has
+/// a credit — lowest priority, ties broken by round-robin distance from the
+/// output's cursor `rr` — and, when none has one, the probe contender: the
+/// first blocked request of minimal priority. `eval` gives each request's
+/// (priority, has_credit) at this program point, so grants at earlier
+/// outputs are already visible. Shared by both engines.
+// taqos-lint: hot
+#[inline]
+fn arbitrate(
+    requests: &[ArbRequest],
+    rr: usize,
+    mut eval: impl FnMut(&ArbRequest) -> (u64, bool),
+) -> (Option<usize>, Option<usize>) {
+    let n = requests.len();
+    // Round-robin distance from the cursor. Equivalent to
+    // `(idx + n - rr % n) % n`, with the per-request modulo replaced by a
+    // conditional subtract (idx and rr_mod are both below n, so the sum is
+    // below 2n).
+    let rr_mod = rr % n.max(1);
+    let mut winner_idx: Option<usize> = None;
+    let mut winner_key = (u64::MAX, usize::MAX);
+    let mut blocked_idx: Option<usize> = None;
+    let mut blocked_priority = u64::MAX;
+    for (idx, req) in requests.iter().enumerate() {
+        let (priority, has_credit) = eval(req);
+        if has_credit {
+            let distance = idx + n - rr_mod;
+            let distance = if distance >= n {
+                distance - n
+            } else {
+                distance
+            };
+            if (priority, distance) < winner_key {
+                winner_key = (priority, distance);
+                winner_idx = Some(idx);
+            }
+        } else if blocked_idx.is_none() || priority < blocked_priority {
+            blocked_idx = Some(idx);
+            blocked_priority = priority;
+        }
+    }
+    (winner_idx, blocked_idx)
+}
+
 /// A fully instantiated, steppable network simulation.
 pub struct Network {
     spec: NetworkSpec,
@@ -241,8 +334,8 @@ pub struct Network {
     packets: PacketStore,
     events: EventQueue,
     stats: NetStats,
-    /// Feeder output port of each sink (router, out_port, target_idx).
-    sink_feeders: Vec<Option<(usize, usize, usize)>>,
+    /// Feeder output port of each sink.
+    sink_feeders: Vec<Option<Feeder>>,
     /// Source index serving each flow.
     flow_to_source: Vec<usize>,
     frame_len: Option<Cycle>,
@@ -279,6 +372,9 @@ pub struct Network {
     source_wake: Vec<Cycle>,
     /// Reusable buffer for preemption victim candidates.
     probe_scratch: Vec<(PacketId, FlowId, bool)>,
+    /// The reference engine's reusable request-gather buffer (see
+    /// `reference.rs`).
+    reference_requests: Vec<ArbRequest>,
     /// Reusable buffer for candidates annotated with cached priorities.
     probe_prioritized_scratch: Vec<(PacketId, FlowId, bool, u64)>,
     /// Whether the policy uses ideal per-flow queuing: downstream VC ids may
@@ -348,7 +444,7 @@ impl Network {
         }
 
         // Fill per-target credit state and feeder back-pointers.
-        let mut sink_feeders: Vec<Option<(usize, usize, usize)>> = vec![None; spec.sinks.len()];
+        let mut sink_feeders: Vec<Option<Feeder>> = vec![None; spec.sinks.len()];
         for (ri, rspec) in spec.routers.iter().enumerate() {
             for (oi, ospec) in rspec.outputs.iter().enumerate() {
                 for (ti, target) in ospec.targets.iter().enumerate() {
@@ -362,7 +458,11 @@ impl Network {
                             )
                         }
                         TargetEndpoint::Sink { sink } => {
-                            sink_feeders[sink] = Some((ri, oi, ti));
+                            sink_feeders[sink] = Some(Feeder::RouterOutput {
+                                router: ri,
+                                out_port: oi,
+                                target_idx: ti,
+                            });
                             TargetCreditState::new(spec.sinks[sink].slots, 0, false)
                         }
                     };
@@ -375,13 +475,8 @@ impl Network {
             for (oi, ospec) in rspec.outputs.iter().enumerate() {
                 for (ti, target) in ospec.targets.iter().enumerate() {
                     if let TargetEndpoint::Router { router, in_port } = target.endpoint {
-                        let slot = &mut routers[router].inputs[in_port.0].feeder;
-                        assert!(
-                            slot.is_none(),
-                            "input port {} of router {router} has two feeders",
-                            in_port.0
-                        );
-                        *slot = Some(Feeder::RouterOutput {
+                        // `validate` admits at most one feeder per port.
+                        routers[router].inputs[in_port.0].feeder = Some(Feeder::RouterOutput {
                             router: ri,
                             out_port: oi,
                             target_idx: ti,
@@ -391,13 +486,8 @@ impl Network {
             }
         }
         for (si, sspec) in spec.sources.iter().enumerate() {
-            let slot = &mut routers[sspec.router].inputs[sspec.in_port.0].feeder;
-            assert!(
-                slot.is_none(),
-                "injection port of source {} already has a feeder",
-                sspec.name
-            );
-            *slot = Some(Feeder::Source { source: si });
+            routers[sspec.router].inputs[sspec.in_port.0].feeder =
+                Some(Feeder::Source { source: si });
         }
 
         let qos: Vec<Box<dyn RouterQos>> = spec
@@ -458,6 +548,7 @@ impl Network {
             router_scan: Vec::new(),
             source_wake: vec![0; num_sources],
             probe_scratch: Vec::new(),
+            reference_requests: Vec::new(),
             probe_prioritized_scratch: Vec::new(),
             unlimited,
             closed_loop: None,
@@ -743,11 +834,25 @@ impl Network {
             }
         }
         self.phase_frame_rollover();
-        self.phase_events();
-        self.phase_sources();
-        self.phase_routing();
-        self.phase_allocation();
-        self.phase_launch();
+        // The one place the engine is picked. Everything only the reference
+        // engine does lives in `reference.rs`; the phases below share their
+        // mechanics with it but never ask which engine runs.
+        match self.config.engine {
+            EngineKind::Optimized => {
+                self.phase_events(Network::handle_preemption_probe);
+                self.phase_sources();
+                self.phase_routing();
+                self.phase_allocation();
+                self.phase_launch();
+            }
+            EngineKind::Reference => {
+                self.phase_events(Network::reference_preemption_probe);
+                self.reference_sources();
+                self.reference_routing();
+                self.reference_allocation();
+                self.reference_launch();
+            }
+        }
         if self.sampler.is_some() {
             self.sample_frame();
         }
@@ -835,20 +940,22 @@ impl Network {
         }
     }
 
+    /// Applies every event due this cycle; `probe` is the engine's
+    /// preemption-probe handler.
     // taqos-lint: hot
-    fn phase_events(&mut self) {
+    fn phase_events(&mut self, probe: impl Fn(&mut Network, usize, usize, FlowId)) {
         // The drained events are collected into a reusable buffer so the
         // steady-state event phase performs no heap allocation.
         let mut scratch = std::mem::take(&mut self.event_scratch);
         scratch.clear();
         self.events.drain_due_into(self.now, &mut scratch);
         for event in scratch.drain(..) {
-            self.apply_event(event);
+            self.apply_event(event, &probe);
         }
         self.event_scratch = scratch;
     }
 
-    fn apply_event(&mut self, event: Event) {
+    fn apply_event(&mut self, event: Event, probe: &impl Fn(&mut Network, usize, usize, FlowId)) {
         match event {
             Event::HeadToRouter {
                 router,
@@ -952,9 +1059,7 @@ impl Network {
                 router,
                 in_port,
                 contender,
-            } => {
-                self.handle_preemption_probe(router as usize, in_port as usize, contender);
-            }
+            } => probe(self, router as usize, in_port as usize, contender),
             Event::DramComplete { mc, bank } => {
                 self.handle_dram_complete(mc as usize, bank as usize);
             }
@@ -970,44 +1075,19 @@ impl Network {
             .occupant(slot)
             // taqos-lint: allow(panic-path) -- delivery events fire only for occupied sink slots
             .expect("completing an empty sink slot");
-        // Only scalar fields of the packet feed the stats recorder and the
-        // closed-loop hook; copying them out avoids cloning the whole packet
-        // on every delivery.
-        let (
-            flow,
-            len_flits,
-            hops,
-            birth,
-            class,
-            src,
-            request_birth,
-            origin_source,
-            dram_line,
-            req_seq,
-        ) = {
-            let packet = self
-                .packets
-                .get(packet_id)
-                // taqos-lint: allow(panic-path) -- sink slots only ever hold live packet ids
-                .expect("delivered packet must be live");
-            (
-                packet.flow,
-                packet.len_flits,
-                packet.column_hops(),
-                packet.birth,
-                packet.class,
-                packet.src,
-                packet.request_birth,
-                packet.origin_source,
-                packet.dram_line,
-                packet.req_seq,
-            )
-        };
+        // The packet is plain data: one copy serves the stats recorder and
+        // the closed-loop hook below.
+        let packet = *self
+            .packets
+            .get(packet_id)
+            // taqos-lint: allow(panic-path) -- sink slots only ever hold live packet ids
+            .expect("delivered packet must be live");
+        let (flow, hops) = (packet.flow, packet.column_hops());
         // A controller outage bounces request-class packets at the dark
         // node: the delivery is not recorded and the packet is NACKed back
         // to its source (or abandoned once the fault retransmit budget is
         // spent), exactly like a DRAM-queue rejection.
-        if class == PacketClass::Request
+        if packet.class == PacketClass::Request
             && self
                 .fault
                 .as_ref()
@@ -1015,15 +1095,8 @@ impl Network {
         {
             self.sinks[sink].discard(slot);
             self.stats.fault.mc_outage_rejections += 1;
-            release_sink_credit(
-                &mut self.events,
-                &self.config,
-                &self.sink_feeders,
-                self.now,
-                sink,
-                slot,
-            );
-            self.fault_bounce(packet_id, flow, origin_source, hops);
+            self.release_sink_credit(sink, slot);
+            self.fault_bounce(packet_id, flow, packet.origin_source, hops);
             return;
         }
         // DRAM admission control: a closed-loop request arriving at a
@@ -1032,19 +1105,12 @@ impl Network {
         // count as delivered) or parked in the stall lane (it counts as
         // delivered but withholds its ejection-slot credit, backpressuring
         // the fabric).
-        let admission = self.dram_admission(sink, flow, class);
+        let admission = self.dram_admission(sink, flow, packet.class);
         if admission == DramAdmission::Reject {
             self.sinks[sink].discard(slot);
             self.stats.record_dram_rejection(flow);
             // The flits did occupy the sink slot: free its credit as usual.
-            release_sink_credit(
-                &mut self.events,
-                &self.config,
-                &self.sink_feeders,
-                self.now,
-                sink,
-                slot,
-            );
+            self.release_sink_credit(sink, slot);
             // Closed-loop requests are always injected by their own flow's
             // source; the NACK sends it back for retransmission.
             self.events.schedule(
@@ -1073,44 +1139,23 @@ impl Network {
             let completed = self.sinks[sink].complete(slot);
             debug_assert_eq!(completed, packet_id);
             self.stats
-                .record_delivery(flow, len_flits, hops, birth, self.now);
+                .record_delivery(flow, packet.len_flits, hops, packet.birth, self.now);
             let cycle = self.now;
             self.trace.emit(|| TraceEvent::Deliver {
                 cycle,
                 flow: u64::from(flow.0),
                 packet: packet_id.0,
-                birth,
+                birth: packet.birth,
             });
         }
         if self.closed_loop.is_some() {
-            self.on_closed_loop_delivery(
-                sink,
-                slot,
-                flow,
-                class,
-                src,
-                birth,
-                request_birth,
-                dram_line,
-                admission,
-                packet_id,
-                hops,
-                len_flits,
-                req_seq,
-            );
+            self.on_closed_loop_delivery(sink, slot, &packet, admission, hops);
         }
         // Free the sink slot credit at the feeding ejection port — unless a
         // DRAM stall lane is withholding it until the controller queue has
         // room (released in `dram_pump`).
         if admission != DramAdmission::Stall {
-            release_sink_credit(
-                &mut self.events,
-                &self.config,
-                &self.sink_feeders,
-                self.now,
-                sink,
-                slot,
-            );
+            self.release_sink_credit(sink, slot);
         }
         if deferred {
             // The ACK (and the delivery statistics) fire when the request
@@ -1120,7 +1165,8 @@ impl Network {
         // Acknowledge delivery over the ACK network, to the source that
         // physically injected the packet (for closed-loop replies that is the
         // memory controller's source, not the requester flow's).
-        let source = origin_source
+        let source = packet
+            .origin_source
             .map(|s| s as usize)
             .unwrap_or_else(|| self.flow_to_source[flow.index()]);
         self.events.schedule(
@@ -1130,6 +1176,18 @@ impl Network {
                 packet: packet_id,
             },
         );
+    }
+
+    /// Returns the credit of slot `slot` of sink `sink` to the output port
+    /// feeding it. Shared by normal delivery, DRAM rejection and the outage
+    /// bounce (the stall lane's deferred release in `dram_pump` schedules the
+    /// same credit), so the credit semantics cannot drift apart.
+    // taqos-lint: hot
+    fn release_sink_credit(&mut self, sink: usize, slot: VcId) {
+        let due = self.now + self.config.credit_delay;
+        // taqos-lint: allow(panic-index) -- sink_feeders holds one entry per sink and delivery events address live sinks
+        let feeder = self.sink_feeders[sink];
+        return_credit(&mut self.events, feeder, due, slot.index(), false);
     }
 
     /// Sends a fault-dropped (or outage-bounced) packet back to its source:
@@ -1244,24 +1302,27 @@ impl Network {
     /// controller's DRAM pipeline (the reply is released when its bank
     /// completes); a reply arriving back at the requester credits the MLP
     /// window and records the round trip.
-    #[allow(clippy::too_many_arguments)]
     // taqos-lint: hot
     fn on_closed_loop_delivery(
         &mut self,
         sink: usize,
         slot: VcId,
-        flow: FlowId,
-        class: PacketClass,
-        src: NodeId,
-        birth: Cycle,
-        request_birth: Option<Cycle>,
-        dram_line: Option<u64>,
+        packet: &Packet,
         admission: DramAdmission,
-        packet_id: PacketId,
         hops: u32,
-        len_flits: u8,
-        req_seq: Option<u64>,
     ) {
+        let Packet {
+            id: packet_id,
+            flow,
+            class,
+            src,
+            birth,
+            request_birth,
+            dram_line,
+            len_flits,
+            req_seq,
+            ..
+        } = *packet;
         match class {
             PacketClass::Request => {
                 let sink_node = self.sinks[sink].node;
@@ -1603,14 +1664,10 @@ impl Network {
                 };
                 mc.queue.push_back(stalled.request);
                 stats.record_dram_occupancy(mc.queue.len());
-                release_sink_credit(
-                    events,
-                    config,
-                    sink_feeders,
-                    now,
-                    stalled.sink,
-                    stalled.slot,
-                );
+                // taqos-lint: allow(panic-index) -- stalled requests record the live sink they arrived at
+                let feeder = sink_feeders[stalled.sink];
+                let due = now + config.credit_delay;
+                return_credit(events, feeder, due, stalled.slot.index(), false);
                 progressed = true;
             }
             if !progressed {
@@ -1619,13 +1676,31 @@ impl Network {
         }
     }
 
+    /// Visits the sources that are awake. The reference engine visits every
+    /// source, so engine equivalence checks that no wake was missed.
     // taqos-lint: hot
     fn phase_sources(&mut self) {
+        for si in 0..self.sources.len() {
+            // taqos-lint: allow(panic-index) -- the wake array holds one slot per source
+            if self.source_wake[si] <= self.now {
+                self.visit_source(si, cached_priority);
+            }
+        }
+    }
+
+    /// One source's turn in the source phase: generate or issue, start an
+    /// injection, stream one flit. A source that finds nothing to do records
+    /// in [`Self::source_wake`] when it next needs a visit. `reply_priority`
+    /// prices the flows waiting at a controller's reply port.
+    // taqos-lint: hot
+    fn visit_source(
+        &mut self,
+        si: usize,
+        reply_priority: impl Fn(&mut RouterState, &dyn RouterQos, FlowId) -> u64,
+    ) {
         let now = self.now;
-        let reference = self.config.engine.is_reference();
-        // Split-borrow the fields once so the per-source loop indexes each
-        // source a single time instead of re-indexing `self.sources[si]` at
-        // every access.
+        // Split-borrow the fields once so the source is indexed a single
+        // time instead of re-indexing `self.sources[si]` at every access.
         let Network {
             sources,
             routers,
@@ -1641,283 +1716,261 @@ impl Network {
             source_wake,
             ..
         } = self;
-        for (si, source) in sources.iter_mut().enumerate() {
-            // Sleeping sources are skipped in the optimized engine; the
-            // reference engine visits every source, so engine equivalence
-            // checks that no wake was missed.
-            // taqos-lint: allow(panic-index) -- the wake array holds one slot per source
-            if !reference && source_wake[si] > now {
-                continue;
-            }
-            // 1. Traffic generation — at most one generator call per cycle. An
-            // exhausted generator returns `None` without consuming entropy
-            // (the `PacketGenerator` contract), and a source that also has
-            // nothing queued or streaming has no per-cycle work at all
-            // (outstanding-window packets only need event handling).
-            // Closed-loop requester flows issue from their MLP window instead
-            // of polling a generator: one request whenever the window has
-            // room and the budget allows. Under a DRAM model the request also
-            // carries the next cache line of the flow's private stream.
-            // A requester that cannot issue records when time alone next
-            // gives it work in `requester_wake`.
-            let mut requester_wake = None;
-            let mut dram_line = None;
-            let mut req_seq = None;
-            let mut logical_birth = None;
-            let generated = match closed_loop.as_mut().map(|cl| {
-                (
-                    cl.dram.is_some(),
-                    cl.retry,
-                    cl.requesters[source.flow.index()].as_mut(),
-                )
-            }) {
-                Some((dram_enabled, retry, Some(requester))) => {
-                    let flow = source.flow;
-                    // Dynamic traffic: apply any phase change due this cycle
-                    // to the effective MLP window before the issue decision.
-                    requester.advance_phases(now);
-                    // Deadline scan: every in-flight request whose reply has
-                    // not arrived within the policy deadline either moves to
-                    // the backoff lane for a retry or — once its attempt
-                    // budget is spent — is abandoned, releasing its MLP
-                    // window slot so the flow keeps making progress past
-                    // genuinely lost requests.
-                    if let Some(policy) = retry {
-                        // Both push sites stamp `sent: now` and removals keep
-                        // the order, so only a prefix can have expired.
-                        debug_assert!(
-                            requester.in_flight.is_sorted_by_key(|entry| entry.sent),
-                            "in-flight requests stay in send order"
-                        );
-                        let expired = requester.in_flight.partition_point(|entry| {
-                            entry.sent.saturating_add(policy.deadline) <= now
-                        });
-                        for entry in requester.in_flight.drain(..expired) {
-                            if entry.attempts >= policy.max_attempts {
-                                requester.outstanding -= 1;
-                                stats.record_request_abandoned(flow);
-                                // Giving up on a lost request is forward
-                                // progress: the window slot is usable again.
-                                *last_progress = now;
-                            } else {
-                                stats.record_request_timeout(flow);
-                                trace.emit(|| TraceEvent::Timeout {
-                                    cycle: now,
-                                    flow: u64::from(flow.0),
-                                    seq: entry.seq,
-                                });
-                                requester.deferred.push_back(DeferredRetry {
-                                    ready: now
-                                        + policy.backoff_delay(flow, entry.seq, entry.attempts),
-                                    seq: entry.seq,
-                                    birth: entry.birth,
-                                    attempts: entry.attempts,
-                                    line: entry.line,
-                                });
-                            }
-                        }
-                    }
-                    // A retry whose backoff has elapsed re-issues before any
-                    // fresh request: it already owns a window slot and its
-                    // requester has waited longest for the data.
-                    if let Some(deferred) = retry.and_then(|_| requester.pop_ready_retry(now)) {
-                        requester.in_flight.push(InFlightRequest {
-                            seq: deferred.seq,
-                            birth: deferred.birth,
-                            sent: now,
-                            attempts: deferred.attempts + 1,
-                            line: deferred.line,
-                        });
-                        stats.record_request_retry(flow);
-                        trace.emit(|| TraceEvent::Retry {
-                            cycle: now,
-                            flow: u64::from(flow.0),
-                            seq: deferred.seq,
-                        });
-                        dram_line = deferred.line;
-                        req_seq = Some(deferred.seq);
-                        logical_birth = Some(deferred.birth);
-                        Some(GeneratedPacket {
-                            dst: requester.spec.mc,
-                            len_flits: requester.spec.request_len,
-                            class: PacketClass::Request,
-                        })
-                    } else if requester.can_issue() {
-                        if dram_enabled {
-                            dram_line = Some(requester_line(flow, requester.issued));
-                        }
-                        if retry.is_some() {
-                            let seq = requester.issued;
-                            requester.in_flight.push(InFlightRequest {
-                                seq,
-                                birth: now,
-                                sent: now,
-                                attempts: 1,
-                                line: dram_line,
+        // taqos-lint: allow(panic-index) -- callers pass a live source index
+        let source = &mut sources[si];
+        // 1. Traffic generation — at most one generator call per cycle. An
+        // exhausted generator returns `None` without consuming entropy
+        // (the `PacketGenerator` contract), and a source that also has
+        // nothing queued or streaming has no per-cycle work at all
+        // (outstanding-window packets only need event handling).
+        // Closed-loop requester flows issue from their MLP window instead
+        // of polling a generator: one request whenever the window has
+        // room and the budget allows. Under a DRAM model the request also
+        // carries the next cache line of the flow's private stream.
+        // A requester that cannot issue records when time alone next
+        // gives it work in `requester_wake`.
+        let mut requester_wake = None;
+        let mut dram_line = None;
+        let mut req_seq = None;
+        let mut logical_birth = None;
+        let generated = match closed_loop.as_mut().map(|cl| {
+            (
+                cl.dram.is_some(),
+                cl.retry,
+                cl.requesters[source.flow.index()].as_mut(),
+            )
+        }) {
+            Some((dram_enabled, retry, Some(requester))) => {
+                let flow = source.flow;
+                // Dynamic traffic: apply any phase change due this cycle
+                // to the effective MLP window before the issue decision.
+                requester.advance_phases(now);
+                // Deadline scan: every in-flight request whose reply has
+                // not arrived within the policy deadline either moves to
+                // the backoff lane for a retry or — once its attempt
+                // budget is spent — is abandoned, releasing its MLP
+                // window slot so the flow keeps making progress past
+                // genuinely lost requests.
+                if let Some(policy) = retry {
+                    // Both push sites stamp `sent: now` and removals keep
+                    // the order, so only a prefix can have expired.
+                    debug_assert!(
+                        requester.in_flight.is_sorted_by_key(|entry| entry.sent),
+                        "in-flight requests stay in send order"
+                    );
+                    let expired = requester
+                        .in_flight
+                        .partition_point(|entry| entry.sent.saturating_add(policy.deadline) <= now);
+                    for entry in requester.in_flight.drain(..expired) {
+                        if entry.attempts >= policy.max_attempts {
+                            requester.outstanding -= 1;
+                            stats.record_request_abandoned(flow);
+                            // Giving up on a lost request is forward
+                            // progress: the window slot is usable again.
+                            *last_progress = now;
+                        } else {
+                            stats.record_request_timeout(flow);
+                            trace.emit(|| TraceEvent::Timeout {
+                                cycle: now,
+                                flow: u64::from(flow.0),
+                                seq: entry.seq,
                             });
-                            req_seq = Some(seq);
+                            requester.deferred.push_back(DeferredRetry {
+                                ready: now + policy.backoff_delay(flow, entry.seq, entry.attempts),
+                                seq: entry.seq,
+                                birth: entry.birth,
+                                attempts: entry.attempts,
+                                line: entry.line,
+                            });
                         }
-                        requester.outstanding += 1;
-                        requester.issued += 1;
-                        stats.record_request_issued(flow);
-                        Some(GeneratedPacket {
-                            dst: requester.spec.mc,
-                            len_flits: requester.spec.request_len,
-                            class: PacketClass::Request,
-                        })
-                    } else {
-                        requester_wake =
-                            Some(requester.next_timed_work(retry.map(|policy| policy.deadline)));
-                        None
                     }
                 }
-                _ => source.generator.generate(now),
-            };
-            if let Some(gen) = generated {
-                // Generating a packet is forward progress for the watchdog.
-                *last_progress = now;
-                // `origin_source` stays `None` here: a packet generated at
-                // its own flow's source routes ACK/NACK via `flow_to_source`;
-                // only controller-injected replies carry an explicit origin.
-                let (flow, node) = (source.flow, source.node);
-                let id = packets.insert_with(|id| {
-                    let mut packet =
-                        Packet::new(id, flow, node, gen.dst, gen.len_flits, gen.class, now);
-                    packet.dram_line = dram_line;
-                    packet.req_seq = req_seq;
-                    packet.request_birth = logical_birth;
-                    packet
-                });
-                source.enqueue_generated(id, gen.len_flits);
-            } else {
-                // Controller reply port: when the source queue is free, pull
-                // the pending reply of the highest-priority flow into it —
-                // the controller is a QOS arbitration point, so the reply
-                // order follows flow priority, not head-of-line arrival.
-                // NACKed replies re-queued at the front drain first. The
-                // optimized engine reads the router's priority memo; the
-                // reference engine asks the QOS model, so it stays the
-                // memo's oracle here too.
-                let waiting = closed_loop.as_mut().filter(|cl| cl.replies.has_waiting(si));
-                let has_waiting = waiting.is_some();
-                if let Some(cl) = waiting.filter(|_| {
-                    source.active.is_none()
-                        && source.queue.is_empty()
-                        && source.window.len() < source.window_limit
-                        && !source.free_vcs.is_empty()
-                }) {
-                    let router = source.router;
-                    let picked = if reference {
-                        // taqos-lint: allow(panic-index) -- every source injects into a live router
-                        let router_qos = &qos[router];
-                        cl.replies.pop_best(si, |flow| router_qos.priority(flow))
-                    } else {
-                        // taqos-lint: allow(panic-index) -- every source injects into a live router
-                        let (router_state, router_qos) = (&mut routers[router], &*qos[router]);
-                        cl.replies
-                            .pop_best(si, |flow| cached_priority(router_state, router_qos, flow))
-                    };
-                    if let Some((reply, _)) = picked {
-                        source.queue.push_back(reply);
+                // A retry whose backoff has elapsed re-issues before any
+                // fresh request: it already owns a window slot and its
+                // requester has waited longest for the data.
+                if let Some(deferred) = retry.and_then(|_| requester.pop_ready_retry(now)) {
+                    requester.in_flight.push(InFlightRequest {
+                        seq: deferred.seq,
+                        birth: deferred.birth,
+                        sent: now,
+                        attempts: deferred.attempts + 1,
+                        line: deferred.line,
+                    });
+                    stats.record_request_retry(flow);
+                    trace.emit(|| TraceEvent::Retry {
+                        cycle: now,
+                        flow: u64::from(flow.0),
+                        seq: deferred.seq,
+                    });
+                    dram_line = deferred.line;
+                    req_seq = Some(deferred.seq);
+                    logical_birth = Some(deferred.birth);
+                    Some(GeneratedPacket {
+                        dst: requester.spec.mc,
+                        len_flits: requester.spec.request_len,
+                        class: PacketClass::Request,
+                    })
+                } else if requester.can_issue() {
+                    if dram_enabled {
+                        dram_line = Some(requester_line(flow, requester.issued));
                     }
-                } else if source.active.is_none() && !source.can_start_injection() {
-                    // Nothing to inject or stream. Requesters and reply
-                    // ports run idle generators (checked at install), so
-                    // only a plain source asks its generator whether it is
-                    // done; a live one keeps its source awake.
-                    if requester_wake.is_some() || has_waiting || source.generator.exhausted() {
-                        // taqos-lint: allow(panic-index) -- the wake array holds one slot per source
-                        source_wake[si] = requester_wake.unwrap_or(Cycle::MAX);
-                    }
-                    continue;
-                }
-            }
-
-            // 2. Start a new injection if possible.
-            if source.can_start_injection() {
-                // taqos-lint: allow(panic-path) -- can_start_injection checked the queue is non-empty
-                let packet_id = source.queue.pop_front().expect("queue checked non-empty");
-                // taqos-lint: allow(panic-path) -- can_start_injection checked a free VC is available
-                let vc = source.free_vcs.pop().expect("credit checked available");
-                let quota = policy.reserved_quota(source.flow);
-                let len = {
-                    let packet = packets
-                        .get_mut(packet_id)
-                        // taqos-lint: allow(panic-path) -- queued ids are removed before their packets are freed
-                        .expect("queued packet must be live");
-                    if packet.injected_at.is_none() {
-                        packet.injected_at = Some(now);
-                        source.injected_packets += 1;
-                        let (flow, node) = (packet.flow, source.node);
-                        trace.emit(|| TraceEvent::Inject {
-                            cycle: now,
-                            flow: u64::from(flow.0),
-                            packet: packet_id.0,
-                            node: u64::from(node.0),
+                    if retry.is_some() {
+                        let seq = requester.issued;
+                        requester.in_flight.push(InFlightRequest {
+                            seq,
+                            birth: now,
+                            sent: now,
+                            attempts: 1,
+                            line: dram_line,
                         });
+                        req_seq = Some(seq);
                     }
-                    packet.len_flits
-                };
-                let reserved = match quota {
-                    Some(q) if source.reserved_used_this_frame + u64::from(len) <= q => {
-                        source.reserved_used_this_frame += u64::from(len);
-                        true
-                    }
-                    _ => false,
-                };
-                packets.set_reserved(packet_id, reserved);
-                source.window.insert(packet_id);
-                source.active = Some(InjectionTransfer {
-                    packet: packet_id,
-                    len,
-                    vc,
-                    flits_sent: 0,
-                });
-            }
-
-            // 3. Stream one flit of the active injection into the router.
-            if let Some(transfer) = &mut source.active {
-                let router = &mut routers[source.router];
-                let port = &mut router.inputs[source.in_port.0];
-                let vc_state = &mut port.vcs[transfer.vc.index()];
-                if transfer.flits_sent == 0 {
-                    vc_state.accept_head(transfer.packet, transfer.len, now);
-                    port.occupied += 1;
-                    port.unrouted += 1;
-                    router.active_vcs += 1;
-                    router.unrouted_vcs += 1;
-                    mark_router(routing_work, source.router);
-                    mark_router(alloc_work, source.router);
+                    requester.outstanding += 1;
+                    requester.issued += 1;
+                    stats.record_request_issued(flow);
+                    Some(GeneratedPacket {
+                        dst: requester.spec.mc,
+                        len_flits: requester.spec.request_len,
+                        class: PacketClass::Request,
+                    })
                 } else {
-                    vc_state.accept_body(transfer.packet);
+                    requester_wake =
+                        Some(requester.next_timed_work(retry.map(|policy| policy.deadline)));
+                    None
                 }
-                transfer.flits_sent += 1;
-                stats.energy.buffer_writes += 1;
-                if transfer.flits_sent >= transfer.len {
-                    source.active = None;
+            }
+            _ => source.generator.generate(now),
+        };
+        if let Some(gen) = generated {
+            // Generating a packet is forward progress for the watchdog.
+            *last_progress = now;
+            // `origin_source` stays `None` here: a packet generated at
+            // its own flow's source routes ACK/NACK via `flow_to_source`;
+            // only controller-injected replies carry an explicit origin.
+            let (flow, node) = (source.flow, source.node);
+            let id = packets.insert_with(|id| {
+                let mut packet =
+                    Packet::new(id, flow, node, gen.dst, gen.len_flits, gen.class, now);
+                packet.dram_line = dram_line;
+                packet.req_seq = req_seq;
+                packet.request_birth = logical_birth;
+                packet
+            });
+            source.enqueue_generated(id, gen.len_flits);
+        } else {
+            // Controller reply port: when the source queue is free, pull
+            // the pending reply of the highest-priority flow into it —
+            // the controller is a QOS arbitration point, so the reply
+            // order follows flow priority, not head-of-line arrival.
+            // NACKed replies re-queued at the front drain first.
+            let waiting = closed_loop.as_mut().filter(|cl| cl.replies.has_waiting(si));
+            let has_waiting = waiting.is_some();
+            if let Some(cl) = waiting.filter(|_| {
+                source.active.is_none()
+                    && source.queue.is_empty()
+                    && source.window.len() < source.window_limit
+                    && !source.free_vcs.is_empty()
+            }) {
+                let router = source.router;
+                // taqos-lint: allow(panic-index) -- every source injects into a live router
+                let (router_state, router_qos) = (&mut routers[router], &*qos[router]);
+                let picked = cl
+                    .replies
+                    .pop_best(si, |flow| reply_priority(router_state, router_qos, flow));
+                if let Some((reply, _)) = picked {
+                    source.queue.push_back(reply);
                 }
+            } else if source.active.is_none() && !source.can_start_injection() {
+                // Nothing to inject or stream. Requesters and reply
+                // ports run idle generators (checked at install), so
+                // only a plain source asks its generator whether it is
+                // done; a live one keeps its source awake.
+                if requester_wake.is_some() || has_waiting || source.generator.exhausted() {
+                    // taqos-lint: allow(panic-index) -- the wake array holds one slot per source
+                    source_wake[si] = requester_wake.unwrap_or(Cycle::MAX);
+                }
+                return;
+            }
+        }
+
+        // 2. Start a new injection if possible.
+        if source.can_start_injection() {
+            // taqos-lint: allow(panic-path) -- can_start_injection checked the queue is non-empty
+            let packet_id = source.queue.pop_front().expect("queue checked non-empty");
+            // taqos-lint: allow(panic-path) -- can_start_injection checked a free VC is available
+            let vc = source.free_vcs.pop().expect("credit checked available");
+            let quota = policy.reserved_quota(source.flow);
+            let len = {
+                let packet = packets
+                    .get_mut(packet_id)
+                    // taqos-lint: allow(panic-path) -- queued ids are removed before their packets are freed
+                    .expect("queued packet must be live");
+                if packet.injected_at.is_none() {
+                    packet.injected_at = Some(now);
+                    source.injected_packets += 1;
+                    let (flow, node) = (packet.flow, source.node);
+                    trace.emit(|| TraceEvent::Inject {
+                        cycle: now,
+                        flow: u64::from(flow.0),
+                        packet: packet_id.0,
+                        node: u64::from(node.0),
+                    });
+                }
+                packet.len_flits
+            };
+            let reserved = match quota {
+                Some(q) if source.reserved_used_this_frame + u64::from(len) <= q => {
+                    source.reserved_used_this_frame += u64::from(len);
+                    true
+                }
+                _ => false,
+            };
+            packets.set_reserved(packet_id, reserved);
+            source.window.insert(packet_id);
+            source.active = Some(InjectionTransfer {
+                packet: packet_id,
+                len,
+                vc,
+                flits_sent: 0,
+            });
+        }
+
+        // 3. Stream one flit of the active injection into the router.
+        if let Some(transfer) = &mut source.active {
+            let router = &mut routers[source.router];
+            let port = &mut router.inputs[source.in_port.0];
+            let vc_state = &mut port.vcs[transfer.vc.index()];
+            if transfer.flits_sent == 0 {
+                vc_state.accept_head(transfer.packet, transfer.len, now);
+                port.occupied += 1;
+                port.unrouted += 1;
+                router.active_vcs += 1;
+                router.unrouted_vcs += 1;
+                mark_router(routing_work, source.router);
+                mark_router(alloc_work, source.router);
+            } else {
+                vc_state.accept_body(transfer.packet);
+            }
+            transfer.flits_sent += 1;
+            stats.energy.buffer_writes += 1;
+            if transfer.flits_sent >= transfer.len {
+                source.active = None;
             }
         }
     }
 
     // taqos-lint: hot
     fn phase_routing(&mut self) {
-        let skip_idle = !self.config.engine.is_reference();
         // Active-set fast path: route computation only concerns heads that
         // arrived since the last routing pass, and routers holding one are
         // tracked in the contiguous `routing_work` mask — scanning it costs
         // a few word loads instead of touching every `RouterState`.
         let mut scan = std::mem::take(&mut self.router_scan);
-        if skip_idle {
-            scan_routers(&self.routing_work, &mut scan);
-        } else {
-            scan.clear();
-            scan.extend(0..self.routers.len() as u32);
-        }
+        scan_routers(&self.routing_work, &mut scan);
         for &ri in &scan {
             let ri = ri as usize;
             let router = &mut self.routers[ri];
-            if skip_idle && router.unrouted_vcs == 0 {
+            if router.unrouted_vcs == 0 {
                 // Stale-set bit (the head was routed or preempted since):
                 // reconcile the mask and move on.
                 unmark_router(&mut self.routing_work, ri);
@@ -1925,7 +1978,7 @@ impl Network {
             }
             let rspec = &self.spec.routers[ri];
             for (pi, port) in router.inputs.iter_mut().enumerate() {
-                if skip_idle && port.unrouted == 0 {
+                if port.unrouted == 0 {
                     continue;
                 }
                 let pspec = &rspec.inputs[pi];
@@ -1939,24 +1992,17 @@ impl Network {
                             .hot(packet_id)
                             // taqos-lint: allow(panic-path) -- VC occupancy and packet lifetime are updated together
                             .expect("buffered packet must be live");
-                        let out = if !skip_idle {
-                            compute_route(rspec, pspec, packet.dst, &mut router.route_rr_cursor)
-                        } else if let Some(fixed) = pspec.fixed_route {
+                        let out = if let Some(fixed) = pspec.fixed_route {
                             fixed
                         } else {
                             // Dense LUT path: same candidates and selection
-                            // logic as `compute_route`, minus the tree walk.
+                            // logic as `compute_route`, minus the tree walk
+                            // (`select_route` rejects a missing route).
                             let candidates = router
                                 .route_lut
                                 .get(packet.dst.index())
                                 .map(Vec::as_slice)
                                 .unwrap_or(&[]);
-                            assert!(
-                                !candidates.is_empty(),
-                                "router {} has no route for destination {}",
-                                rspec.node,
-                                packet.dst
-                            );
                             crate::router::select_route(
                                 rspec,
                                 pspec,
@@ -1968,40 +2014,34 @@ impl Network {
                         vc.set_route(out);
                         port.unrouted -= 1;
                         router.unrouted_vcs -= 1;
-                        if skip_idle {
-                            // Optimized engine: enter the packet into the
-                            // persistent arbitration request list of its
-                            // output, ordered by (in_port, vc) — the same
-                            // order the reference engine's scan produces.
-                            let target_idx = resolve_target_idx(&rspec.outputs[out.0], packet.dst);
-                            let request = crate::router::ArbRequest {
-                                in_port: pi as u16,
-                                vc: vi as u16,
-                                packet: packet_id,
-                                flow: packet.flow,
-                                len: packet.len_flits,
-                                reserved: packet.reserved,
-                                target_idx: target_idx as u16,
-                                passthrough: pspec.passthrough,
-                                priority: 0,
-                                has_credit: false,
-                            };
-                            let bucket = &mut router.alloc_buckets[out.0];
-                            let pos = bucket
-                                .binary_search_by_key(&(pi as u16, vi as u16), |r| {
-                                    (r.in_port, r.vc)
-                                })
-                                .expect_err("VC already has a pending request");
-                            bucket.insert(pos, request);
-                            if let Some(mask) = router.alloc_dirty.as_mut() {
-                                *mask |= 1 << out.0;
-                            }
+                        // Enter the packet into the persistent arbitration
+                        // request list of its output, ordered by
+                        // (in_port, vc) — the order the reference engine's
+                        // rescan gathers in.
+                        let request = ArbRequest {
+                            in_port: pi as u16,
+                            vc: vi as u16,
+                            packet: packet_id,
+                            flow: packet.flow,
+                            len: packet.len_flits,
+                            reserved: packet.reserved,
+                            target_idx: resolve_target_idx(&rspec.outputs[out.0], packet.dst)
+                                as u16,
+                            passthrough: pspec.passthrough,
+                        };
+                        let bucket = &mut router.alloc_buckets[out.0];
+                        let pos = bucket
+                            .binary_search_by_key(&(pi as u16, vi as u16), |r| (r.in_port, r.vc))
+                            .expect_err("VC already has a pending request");
+                        bucket.insert(pos, request);
+                        if let Some(mask) = router.alloc_dirty.as_mut() {
+                            *mask |= 1 << out.0;
                         }
                     }
                 }
             }
             // taqos-lint: allow(panic-index) -- scan holds indices of routers whose mask bit was set, all in bounds
-            if skip_idle && self.routers[ri].unrouted_vcs == 0 {
+            if self.routers[ri].unrouted_vcs == 0 {
                 unmark_router(&mut self.routing_work, ri);
             }
         }
@@ -2011,613 +2051,431 @@ impl Network {
     // taqos-lint: hot
     fn phase_allocation(&mut self) {
         let preemption = self.policy.preemption_enabled();
-        let reference = self.config.engine.is_reference();
         // Active-set fast path: allocation requests come from buffered
         // packets only, and routers holding one are tracked in the
         // contiguous `alloc_work` mask.
         let mut scan = std::mem::take(&mut self.router_scan);
-        if reference {
-            scan.clear();
-            scan.extend(0..self.routers.len() as u32);
-        } else {
-            scan_routers(&self.alloc_work, &mut scan);
-        }
+        scan_routers(&self.alloc_work, &mut scan);
         for &ri in &scan {
             let ri = ri as usize;
-            if !reference && self.routers[ri].active_vcs == 0 {
+            if self.routers[ri].active_vcs == 0 {
                 // Stale-set bit (the last occupant drained since).
                 unmark_router(&mut self.alloc_work, ri);
                 continue;
             }
-            let rspec = &self.spec.routers[ri];
-            let qos = &mut self.qos[ri];
-            let num_outputs = self.routers[ri].outputs.len();
-
-            for oi in 0..num_outputs {
+            for oi in 0..self.routers[ri].outputs.len() {
                 let router = &mut self.routers[ri];
-                if !reference && router.alloc_buckets[oi].is_empty() {
+                if router.alloc_buckets[oi].is_empty()
+                    || !router.outputs[oi].can_grant(self.config.grant_queue_depth)
+                {
                     continue;
                 }
-                if !router.outputs[oi].can_grant(self.config.grant_queue_depth) {
-                    continue;
-                }
-                if !reference {
-                    // Clean output: nothing feeding this decision changed
-                    // since the last full evaluation, which ended blocked
-                    // (a winner would have marked it dirty again). Replay
-                    // the cached outcome — schedule the same probe, skip the
-                    // arbitration entirely.
-                    let clean = router.alloc_dirty.is_some_and(|mask| mask & (1 << oi) == 0);
-                    if clean {
-                        if preemption {
-                            if let Some(probe) = router.cached_probe[oi] {
-                                self.events.schedule(self.now + 1, probe);
-                            }
-                        }
-                        continue;
-                    }
-                }
-                let mut requests = if reference {
-                    // Reference gather: fresh vector and full port/VC rescan
-                    // per output, reproducing the original engine's cost.
-                    // taqos-lint: allow(hot-alloc) -- seed-faithful reference gather allocates by design
-                    let mut requests = Vec::new();
-                    for (pi, port) in router.inputs.iter().enumerate() {
-                        let pspec = &rspec.inputs[pi];
-                        for (vi, vc) in port.vcs.iter().enumerate() {
-                            if !vc.wants_allocation()
-                                || vc.route() != Some(crate::ids::OutPortId(oi))
-                            {
-                                continue;
-                            }
-                            // taqos-lint: allow(panic-path) -- wants_allocation implies an occupant
-                            let packet_id = vc.packet().expect("allocating VC holds a packet");
-                            let packet = self
-                                .packets
-                                .get(packet_id)
-                                // taqos-lint: allow(panic-path) -- VC occupancy and packet lifetime are updated together
-                                .expect("buffered packet must be live");
-                            let target_idx = resolve_target_idx(&rspec.outputs[oi], packet.dst);
-                            let has_credit =
-                                router.outputs[oi].targets[target_idx].has_credit(packet.reserved);
-                            requests.push(crate::router::ArbRequest {
-                                in_port: pi as u16,
-                                vc: vi as u16,
-                                packet: packet_id,
-                                flow: packet.flow,
-                                len: packet.len_flits,
-                                reserved: packet.reserved,
-                                target_idx: target_idx as u16,
-                                passthrough: pspec.passthrough,
-                                priority: qos.priority(packet.flow),
-                                has_credit,
-                            });
-                        }
-                    }
-                    requests
-                } else {
-                    std::mem::take(&mut router.alloc_buckets[oi])
-                };
-                if requests.is_empty() {
-                    if !reference {
-                        self.routers[ri].alloc_buckets[oi] = requests;
+                // Clean output: nothing feeding this decision changed since
+                // the last full evaluation, which ended blocked (a winner
+                // would have marked it dirty again). Replay the cached
+                // outcome — schedule the same probe, skip the arbitration.
+                if router.alloc_dirty.is_some_and(|mask| mask & (1 << oi) == 0) {
+                    if let Some(probe) = router.cached_probe[oi] {
+                        self.events.schedule(self.now + 1, probe);
                     }
                     continue;
                 }
-                // Pass-through merge points (DPS intermediate hops) arbitrate
-                // with the same rate-scaled priorities as everywhere else: in
-                // hardware the priority travels with the packet (PVC's
-                // priority reuse), so no flow-state query is needed there and
-                // none is charged to the energy counters.
-                let n = requests.len();
-                let rr = router.outputs[oi].rr_cursor;
-                // Round-robin distance from the cursor. Equivalent to
-                // `(idx + n - rr % n) % n`, with the per-request modulo
-                // replaced by a conditional subtract (idx and rr_mod are both
-                // below n, so the sum is below 2n).
-                let rr_mod = rr % n.max(1);
-                // Winner and probe-contender selection. The reference engine
-                // evaluated priorities and credit during its gather; the
-                // optimized engine resolves both here in one read-only pass
-                // over the persistent request list (same values, same program
-                // point — grants at earlier outputs are already visible).
-                // `blocked_idx` mirrors `filter(!has_credit).min_by_key
-                // (priority)`: the first blocked request of minimal priority.
-                let mut winner_idx: Option<usize> = None;
-                let mut winner_key = (u64::MAX, usize::MAX);
-                let mut blocked_idx: Option<usize> = None;
-                let mut blocked_priority = u64::MAX;
-                for (idx, req) in requests.iter().enumerate() {
-                    let (priority, has_credit) = if reference {
-                        (req.priority, req.has_credit)
-                    } else {
-                        // Priorities only move when this router forwards a
-                        // packet or a frame rolls over; within an epoch the
-                        // memoised value is exact, saving the virtual call
-                        // and f64 division for flows that re-arbitrate.
-                        let priority = cached_priority(router, &**qos, req.flow);
-                        let has_credit = router.outputs[oi].targets[req.target_idx as usize]
-                            .has_credit(req.reserved);
-                        (priority, has_credit)
-                    };
-                    if has_credit {
-                        let distance = idx + n - rr_mod;
-                        let distance = if distance >= n {
-                            distance - n
-                        } else {
-                            distance
-                        };
-                        if (priority, distance) < winner_key {
-                            winner_key = (priority, distance);
-                            winner_idx = Some(idx);
-                        }
-                    } else if blocked_idx.is_none() || priority < blocked_priority {
-                        blocked_idx = Some(idx);
-                        blocked_priority = priority;
-                    }
-                }
-
-                if let Some(widx) = winner_idx {
-                    let req = &requests[widx];
-                    let out_state = &mut router.outputs[oi];
-                    let (to_vc, to_vc_reserved) = out_state.targets[req.target_idx as usize]
-                        .claim(req.reserved)
-                        // taqos-lint: allow(panic-path) -- has_credit was checked when the request was filed
-                        .expect("credit was checked");
-                    let ospec = &rspec.outputs[oi];
-                    let target = &ospec.targets[req.target_idx as usize];
-                    let router_latency = if req.passthrough {
-                        1
-                    } else {
-                        rspec.va_latency + rspec.xt_latency
-                    };
-                    // Per-packet flit-maturation template: every non-head
-                    // flit of this transfer schedules a copy of this event.
-                    let body_event = match target.endpoint {
-                        TargetEndpoint::Router { router, in_port } => Event::BodyToRouter {
-                            router: router as u32,
-                            in_port: in_port.0 as u16,
-                            vc: to_vc,
-                            packet: req.packet,
-                        },
-                        TargetEndpoint::Sink { sink } => Event::FlitToSink {
-                            sink: sink as u32,
-                            slot: to_vc,
-                            is_head: false,
-                            is_tail: false,
-                            packet: req.packet,
-                        },
-                    };
-                    out_state.granted.push(Transfer {
-                        packet: req.packet,
-                        flow: req.flow,
-                        len: req.len,
-                        from_port: InPortId(req.in_port as usize),
-                        from_vc: VcId(req.vc),
-                        target_idx: req.target_idx as usize,
-                        endpoint: target.endpoint,
-                        to_vc,
-                        to_vc_reserved,
-                        flits_launched: 0,
-                        launch_start: self.now + Cycle::from(router_latency),
-                        wire_delay: target.wire_delay,
-                        passthrough: req.passthrough,
-                        body_event,
-                    });
-                    out_state.rr_cursor = widx + 1;
-                    let (grant_cycle, grant_flow, grant_packet) = (self.now, req.flow, req.packet);
-                    self.trace.emit(|| TraceEvent::Grant {
-                        cycle: grant_cycle,
-                        flow: u64::from(grant_flow.0),
-                        packet: grant_packet.0,
-                        router: ri as u64,
-                        out_port: oi as u64,
-                    });
-                    if let Some(mask) = router.granted_mask.as_mut() {
+                let mut requests = std::mem::take(&mut router.alloc_buckets[oi]);
+                // Priorities only move when this router forwards a packet or
+                // a frame rolls over; within an epoch the memoised value is
+                // exact, saving the virtual call and f64 division for flows
+                // that re-arbitrate.
+                let qos = &*self.qos[ri];
+                let (winner, blocked) = arbitrate(&requests, router.outputs[oi].rr_cursor, |req| {
+                    (
+                        cached_priority(router, qos, req.flow),
+                        router.outputs[oi].targets[req.target_idx as usize]
+                            .has_credit(req.reserved),
+                    )
+                });
+                if let Some(widx) = winner {
+                    self.grant(ri, oi, widx, &requests[widx]);
+                    // The packet holds a grant now; retire its entry from the
+                    // persistent request list. A grant invalidates exactly
+                    // this output (its credits were claimed, its grant queue
+                    // grew, its cursor moved) plus every output holding a
+                    // request of the forwarded flow — `on_packet_forwarded`
+                    // moves only that flow's priority (the `RouterQos`
+                    // contract), so the other outputs' blocked verdicts
+                    // still stand.
+                    let granted_flow = requests.remove(widx).flow;
+                    let router = &mut self.routers[ri];
+                    if let Some(mask) = router.alloc_dirty.as_mut() {
                         *mask |= 1 << oi;
-                    }
-                    mark_router(&mut self.launch_work, ri);
-                    // taqos-lint: allow(panic-index) -- request coordinates were recorded from an enumeration of these vectors
-                    router.inputs[req.in_port as usize].vcs[req.vc as usize].set_granted();
-                    // Flow-state bookkeeping. Pass-through hops skip the
-                    // energy cost of the query/update but still account the
-                    // bandwidth so preemption decisions stay meaningful.
-                    qos.on_packet_forwarded(req.flow, u32::from(req.len));
-                    if !reference {
-                        // A grant moves only this flow's priority; refresh
-                        // its cache entry and leave the rest valid.
-                        // taqos-lint: allow(panic-index) -- the cache is sized to num_flows at construction and flow ids are validated against it
-                        router.priority_cache[req.flow.index()] = crate::router::PriorityMemo {
-                            value: qos.priority(req.flow),
-                            epoch: router.priority_epoch,
-                        };
-                    }
-                    if !req.passthrough {
-                        self.stats.energy.flow_table_queries += 1;
-                        self.stats.energy.flow_table_updates += 1;
-                    }
-                    if !reference {
-                        // The packet holds a grant now; retire its entry from
-                        // the persistent request list. A grant invalidates
-                        // exactly this output (its credits were claimed, its
-                        // grant queue grew, its cursor moved) plus every
-                        // output holding a request of the forwarded flow —
-                        // `on_packet_forwarded` moves only that flow's
-                        // priority (the `RouterQos` contract), so the other
-                        // outputs' blocked verdicts still stand.
-                        // taqos-lint: allow(panic-index) -- widx is the winner's position found by the scan over this list
-                        let granted_flow = requests[widx].flow;
-                        requests.remove(widx);
-                        if router.alloc_dirty.is_some() {
-                            let mut dirty = 1u64 << oi;
-                            for (oj, bucket) in router.alloc_buckets.iter().enumerate() {
-                                if bucket.iter().any(|r| r.flow == granted_flow) {
-                                    dirty |= 1 << oj;
-                                }
-                            }
-                            if let Some(mask) = router.alloc_dirty.as_mut() {
-                                *mask |= dirty;
+                        for (oj, bucket) in router.alloc_buckets.iter().enumerate() {
+                            if bucket.iter().any(|r| r.flow == granted_flow) {
+                                *mask |= 1 << oj;
                             }
                         }
                     }
                 } else {
-                    // Everyone is blocked on buffer space: probe the most
-                    // deserving blocked request's target for a lower-priority
-                    // victim (priority inversion resolution).
-                    let mut probe = None;
-                    if preemption {
-                        if let Some(bidx) = blocked_idx {
-                            let req = &requests[bidx];
-                            let ospec = &rspec.outputs[oi];
-                            let target = &ospec.targets[req.target_idx as usize];
-                            if let TargetEndpoint::Router { router, in_port } = target.endpoint {
-                                probe = Some(Event::PreemptionProbe {
-                                    router: router as u32,
-                                    in_port: in_port.0 as u16,
-                                    contender: req.flow,
-                                });
-                            }
-                        }
-                        if let Some(probe) = probe {
-                            self.events.schedule(self.now + 1, probe);
-                        }
+                    let probe =
+                        self.probe_blocked(ri, oi, blocked.map(|b| &requests[b]), preemption);
+                    // Blocked with no state change pending: mark the output
+                    // clean and remember the probe to replay.
+                    let router = &mut self.routers[ri];
+                    if let Some(mask) = router.alloc_dirty.as_mut() {
+                        *mask &= !(1 << oi);
                     }
-                    if !reference {
-                        // Blocked with no state change pending: mark the
-                        // output clean and remember the probe to replay.
-                        if let Some(mask) = router.alloc_dirty.as_mut() {
-                            *mask &= !(1 << oi);
-                        }
-                        router.cached_probe[oi] = probe;
-                    }
+                    router.cached_probe[oi] = probe;
                 }
-                if !reference {
-                    self.routers[ri].alloc_buckets[oi] = requests;
-                }
+                self.routers[ri].alloc_buckets[oi] = requests;
             }
         }
         self.router_scan = scan;
+    }
+
+    /// Grants output `oi` of router `ri` to `requests[widx]`: claims the
+    /// downstream VC, queues the transfer for launch and charges the
+    /// forwarded flow at the router's QOS state. Shared by both engines.
+    // taqos-lint: hot
+    fn grant(&mut self, ri: usize, oi: usize, widx: usize, req: &ArbRequest) {
+        let now = self.now;
+        let router = &mut self.routers[ri];
+        let rspec = &self.spec.routers[ri];
+        let qos = &mut self.qos[ri];
+        let out_state = &mut router.outputs[oi];
+        let (to_vc, to_vc_reserved) = out_state.targets[req.target_idx as usize]
+            .claim(req.reserved)
+            // taqos-lint: allow(panic-path) -- arbitration picks only requests whose target has a credit
+            .expect("credit was checked");
+        let target = &rspec.outputs[oi].targets[req.target_idx as usize];
+        let router_latency = if req.passthrough {
+            1
+        } else {
+            rspec.va_latency + rspec.xt_latency
+        };
+        // Per-packet flit-maturation template: every non-head flit of this
+        // transfer schedules a copy of this event.
+        let body_event = match target.endpoint {
+            TargetEndpoint::Router { router, in_port } => Event::BodyToRouter {
+                router: router as u32,
+                in_port: in_port.0 as u16,
+                vc: to_vc,
+                packet: req.packet,
+            },
+            TargetEndpoint::Sink { sink } => Event::FlitToSink {
+                sink: sink as u32,
+                slot: to_vc,
+                is_head: false,
+                is_tail: false,
+                packet: req.packet,
+            },
+        };
+        out_state.granted.push(Transfer {
+            packet: req.packet,
+            flow: req.flow,
+            len: req.len,
+            from_port: InPortId(req.in_port as usize),
+            from_vc: VcId(req.vc),
+            target_idx: req.target_idx as usize,
+            endpoint: target.endpoint,
+            to_vc,
+            to_vc_reserved,
+            flits_launched: 0,
+            launch_start: now + Cycle::from(router_latency),
+            wire_delay: target.wire_delay,
+            passthrough: req.passthrough,
+            body_event,
+        });
+        out_state.rr_cursor = widx + 1;
+        self.trace.emit(|| TraceEvent::Grant {
+            cycle: now,
+            flow: u64::from(req.flow.0),
+            packet: req.packet.0,
+            router: ri as u64,
+            out_port: oi as u64,
+        });
+        if let Some(mask) = router.granted_mask.as_mut() {
+            *mask |= 1 << oi;
+        }
+        mark_router(&mut self.launch_work, ri);
+        // taqos-lint: allow(panic-index) -- request coordinates were recorded from an enumeration of these vectors
+        router.inputs[req.in_port as usize].vcs[req.vc as usize].set_granted();
+        // Flow-state bookkeeping. Pass-through hops skip the energy cost of
+        // the query/update but still account the bandwidth so preemption
+        // decisions stay meaningful.
+        qos.on_packet_forwarded(req.flow, u32::from(req.len));
+        // A grant moves only this flow's priority; refresh its memo entry
+        // and leave the rest valid.
+        // taqos-lint: allow(panic-index) -- the cache is sized to num_flows at construction and flow ids are validated against it
+        router.priority_cache[req.flow.index()] = crate::router::PriorityMemo {
+            value: qos.priority(req.flow),
+            epoch: router.priority_epoch,
+        };
+        if !req.passthrough {
+            self.stats.energy.flow_table_queries += 1;
+            self.stats.energy.flow_table_updates += 1;
+        }
+    }
+
+    /// Everyone at output `oi` of router `ri` is blocked on buffer space:
+    /// under a preemptive policy, probe the most deserving blocked request's
+    /// target for a lower-priority victim (priority inversion resolution).
+    /// Returns the scheduled probe. Shared by both engines.
+    // taqos-lint: hot
+    fn probe_blocked(
+        &mut self,
+        ri: usize,
+        oi: usize,
+        blocked: Option<&ArbRequest>,
+        preemption: bool,
+    ) -> Option<Event> {
+        let req = blocked.filter(|_| preemption)?;
+        let target = &self.spec.routers[ri].outputs[oi].targets[req.target_idx as usize];
+        let TargetEndpoint::Router { router, in_port } = target.endpoint else {
+            return None;
+        };
+        let probe = Event::PreemptionProbe {
+            router: router as u32,
+            in_port: in_port.0 as u16,
+            contender: req.flow,
+        };
+        self.events.schedule(self.now + 1, probe);
+        Some(probe)
     }
 
     // taqos-lint: hot
     fn phase_launch(&mut self) {
-        let now = self.now;
-        let skip_idle = !self.config.engine.is_reference();
-        // Whether any fault plan is live this cycle, hoisted so the
-        // per-launch fault interception block is only entered when one is.
+        // Whether any fault plan is live this cycle, hoisted so the per-launch
+        // fault interception is only entered when one is.
         let faults_on = self.fault.as_ref().is_some_and(|f| f.any_active());
         // Active-set fast path: only routers holding granted transfers can
         // launch, and those are tracked in the contiguous `launch_work`
         // mask (within a router, `granted_mask` then walks the granted
-        // outputs, falling back to the occupied-VC check for >64-output
-        // routers).
+        // outputs, falling back to every output for >64-output routers).
         let mut scan = std::mem::take(&mut self.router_scan);
-        if skip_idle {
-            scan_routers(&self.launch_work, &mut scan);
-        } else {
-            scan.clear();
-            scan.extend(0..self.routers.len() as u32);
-        }
+        scan_routers(&self.launch_work, &mut scan);
         for &ri in &scan {
             let ri = ri as usize;
-            if skip_idle {
-                // taqos-lint: allow(panic-index) -- scan holds indices of routers whose mask bit was set, all in bounds
-                let idle = match self.routers[ri].granted_mask {
-                    Some(0) => true,
-                    Some(_) => false,
-                    // taqos-lint: allow(panic-index) -- same bound as the granted_mask read above
-                    None => self.routers[ri].active_vcs == 0,
-                };
-                if idle {
-                    // Stale-set bit (the last transfer completed since).
-                    unmark_router(&mut self.launch_work, ri);
-                    continue;
-                }
-            }
             // taqos-lint: allow(panic-index) -- scan holds indices of routers whose mask bit was set, all in bounds
-            let router = &mut self.routers[ri];
-            // Crossbar input groups already used this cycle (bitmask).
-            let mut xbar_used: u64 = 0;
-            // Walk either the set bits of the granted mask (ascending, the
-            // same order as the linear scan) or every output.
-            let mask = if skip_idle { router.granted_mask } else { None };
-            let mut mask_bits = mask.unwrap_or(0);
-            let mut linear_oi = 0;
-            loop {
-                let oi = if mask.is_some() {
-                    if mask_bits == 0 {
-                        break;
-                    }
-                    let oi = mask_bits.trailing_zeros() as usize;
-                    mask_bits &= mask_bits - 1;
-                    oi
-                } else {
-                    if linear_oi >= router.outputs.len() {
-                        break;
-                    }
-                    linear_oi += 1;
-                    linear_oi - 1
-                };
-                let out_state = &mut router.outputs[oi];
-                if out_state.granted.is_empty() || out_state.link_free_at > now {
-                    continue;
-                }
-                let transfer = &out_state.granted[0];
-                if transfer.launch_start > now {
-                    continue;
-                }
-                let from_port = transfer.from_port.0;
-                let from_vc = transfer.from_vc.index();
-                let passthrough = transfer.passthrough;
-                // taqos-lint: allow(panic-index) -- xbar_groups is built 1:1 with the router's input ports
-                let group = router.xbar_groups[from_port];
-                if !passthrough && (xbar_used >> group) & 1 == 1 {
-                    continue;
-                }
-                let sendable = router.inputs[from_port].vcs[from_vc].sendable_flits();
-                if sendable == 0 {
-                    continue;
-                }
-
-                // Injected faults intercept whole packets at head launch: a
-                // dead output link, a dead router at either end of it, or a
-                // corrupted head flit kills the transfer before anything
-                // reaches the wire. The drop has whole-packet (virtual
-                // cut-through) granularity and fires only once every flit is
-                // buffered at this router, so no body flit is ever in flight
-                // towards a VC released here; a hard fault simply holds the
-                // head until the packet is fully resident. The claimed
-                // resources are released exactly as a completed transfer's
-                // would be, and the packet is NACKed back to its source —
-                // or abandoned once the fault retransmit budget is spent.
-                if let Some(fault) = self.fault.as_ref().filter(|_| faults_on) {
-                    let transfer = &out_state.granted[0];
-                    if transfer.flits_launched == 0 {
-                        let dest_router_dead = match transfer.endpoint {
-                            TargetEndpoint::Router { router, .. } => fault.router_dead(router),
-                            TargetEndpoint::Sink { .. } => false,
-                        };
-                        let hard =
-                            fault.router_dead(ri) || dest_router_dead || fault.link_dead(ri, oi);
-                        let resident =
-                            router.inputs[from_port].vcs[from_vc].flits_arrived >= transfer.len;
-                        if hard && !resident {
-                            continue;
-                        }
-                        let corrupt = !hard
-                            && resident
-                            && fault.corrupts(now, ri, oi, transfer.flow.index() as u64);
-                        if hard || corrupt {
-                            if corrupt {
-                                self.stats.fault.corruption_drops += 1;
-                            } else if fault.router_dead(ri) || dest_router_dead {
-                                self.stats.fault.router_drops += 1;
-                            } else {
-                                self.stats.fault.link_drops += 1;
-                            }
-                            let transfer = out_state.granted.remove(0);
-                            // No flit will ever consume the downstream VC
-                            // claimed at grant time: refund its credit here.
-                            out_state.targets[transfer.target_idx]
-                                .refund(transfer.to_vc, transfer.to_vc_reserved);
-                            if out_state.granted.is_empty() {
-                                if let Some(mask) = router.granted_mask.as_mut() {
-                                    *mask &= !(1 << oi);
-                                }
-                            }
-                            if let Some(mask) = router.alloc_dirty.as_mut() {
-                                *mask |= 1 << oi;
-                            }
-                            let port = &mut router.inputs[from_port];
-                            let vc_state = &mut port.vcs[from_vc];
-                            let was_reserved_vc = vc_state.reserved_vc();
-                            vc_state.release();
-                            port.occupied -= 1;
-                            router.active_vcs -= 1;
-                            match router.inputs[from_port].feeder {
-                                Some(Feeder::RouterOutput {
-                                    router: fr,
-                                    out_port: fo,
-                                    target_idx: ft,
-                                }) => {
-                                    self.events.schedule(
-                                        now + self.config.credit_delay,
-                                        Event::CreditToRouter {
-                                            router: fr as u32,
-                                            out_port: fo as u16,
-                                            target_idx: ft as u16,
-                                            vc: VcId(from_vc as u16),
-                                            reserved_vc: was_reserved_vc,
-                                        },
-                                    );
-                                }
-                                Some(Feeder::Source { source }) => {
-                                    self.events.schedule(
-                                        now + self.config.credit_delay,
-                                        Event::CreditToSource {
-                                            source: source as u32,
-                                            vc: VcId(from_vc as u16),
-                                        },
-                                    );
-                                }
-                                None => {}
-                            }
-                            // Bounce the packet: NACK for a fabric
-                            // retransmission, or — once the fault budget is
-                            // burned — abandon it (acknowledge and remove
-                            // without delivery) so NACK loops against dead
-                            // hardware terminate.
-                            let budget = fault.retransmit_budget();
-                            let (pkt_flow, pkt_src, pkt_origin, drops) = {
-                                let packet = self
-                                    .packets
-                                    .get_mut(transfer.packet)
-                                    // taqos-lint: allow(panic-path) -- fault drops target in-flight packets only
-                                    .expect("dropped packet must be live");
-                                packet.fault_drops += 1;
-                                (
-                                    packet.flow,
-                                    packet.src,
-                                    packet.origin_source,
-                                    packet.fault_drops,
-                                )
-                            };
-                            let hops = pkt_src.column_distance(router.node);
-                            let source = pkt_origin
-                                .map(|s| s as usize)
-                                .unwrap_or_else(|| self.flow_to_source[pkt_flow.index()])
-                                as u32;
-                            let due = now + self.config.ack_latency(hops);
-                            if drops > budget {
-                                self.stats.fault.abandoned_packets += 1;
-                                self.events.schedule(
-                                    due,
-                                    Event::Ack {
-                                        source,
-                                        packet: transfer.packet,
-                                    },
-                                );
-                            } else {
-                                self.events.schedule(
-                                    due,
-                                    Event::Nack {
-                                        source,
-                                        packet: transfer.packet,
-                                    },
-                                );
-                            }
-                            continue;
-                        }
-                    }
-                }
-
-                // Launch one flit.
-                let transfer = &mut out_state.granted[0];
-                let flit_idx = transfer.flits_launched;
-                let is_head = flit_idx == 0;
-                let is_tail = flit_idx + 1 == transfer.len;
-                transfer.flits_launched += 1;
-                out_state.link_free_at = now + 1;
-                out_state.flits_launched_total += 1;
-                router.inputs[from_port].vcs[from_vc].flits_sent += 1;
-
-                self.stats.energy.buffer_reads += 1;
-                self.stats.energy.link_flit_hops += u64::from(transfer.wire_delay);
-                if !passthrough {
-                    xbar_used |= 1 << group;
-                    self.stats.energy.xbar_flits += 1;
-                }
-
-                let due = now + Cycle::from(transfer.wire_delay);
-                let event = match transfer.endpoint {
-                    TargetEndpoint::Router { router, in_port } => {
-                        if is_head {
-                            Event::HeadToRouter {
-                                router: router as u32,
-                                in_port: in_port.0 as u16,
-                                vc: transfer.to_vc,
-                                len: transfer.len,
-                                packet: transfer.packet,
-                            }
-                        } else {
-                            // Body and tail flits replay the per-packet
-                            // template built at grant time.
-                            transfer.body_event
-                        }
-                    }
-                    TargetEndpoint::Sink { sink } => {
-                        if is_head || is_tail {
-                            Event::FlitToSink {
-                                sink: sink as u32,
-                                slot: transfer.to_vc,
-                                is_head,
-                                is_tail,
-                                packet: transfer.packet,
-                            }
-                        } else {
-                            transfer.body_event
-                        }
-                    }
-                };
-                self.events.schedule(due, event);
-
-                // Transfer complete: free the upstream VC and return its
-                // credit to whoever feeds it.
-                if out_state.granted[0].is_complete() {
-                    out_state.granted.remove(0);
-                    if out_state.granted.is_empty() {
-                        if let Some(mask) = router.granted_mask.as_mut() {
-                            *mask &= !(1 << oi);
-                        }
-                    }
-                    // The grant queue shrank: `can_grant` may flip, so the
-                    // output's arbitration decision is stale.
-                    if let Some(mask) = router.alloc_dirty.as_mut() {
-                        *mask |= 1 << oi;
-                    }
-                    let port = &mut router.inputs[from_port];
-                    let vc_state = &mut port.vcs[from_vc];
-                    let was_reserved_vc = vc_state.reserved_vc();
-                    vc_state.release();
-                    port.occupied -= 1;
-                    router.active_vcs -= 1;
-                    match router.inputs[from_port].feeder {
-                        Some(Feeder::RouterOutput {
-                            router: fr,
-                            out_port: fo,
-                            target_idx: ft,
-                        }) => {
-                            self.events.schedule(
-                                now + self.config.credit_delay,
-                                Event::CreditToRouter {
-                                    router: fr as u32,
-                                    out_port: fo as u16,
-                                    target_idx: ft as u16,
-                                    vc: VcId(from_vc as u16),
-                                    reserved_vc: was_reserved_vc,
-                                },
-                            );
-                        }
-                        Some(Feeder::Source { source }) => {
-                            self.events.schedule(
-                                now + self.config.credit_delay,
-                                Event::CreditToSource {
-                                    source: source as u32,
-                                    vc: VcId(from_vc as u16),
-                                },
-                            );
-                        }
-                        None => {}
-                    }
-                }
+            let router = &self.routers[ri];
+            let granted = router.granted_mask;
+            if granted == Some(0) || (granted.is_none() && router.active_vcs == 0) {
+                // Stale-set bit (the last transfer completed since).
+                unmark_router(&mut self.launch_work, ri);
+                continue;
             }
+            self.launch_router(ri, granted, faults_on);
         }
         self.router_scan = scan;
     }
 
+    /// Launches one flit from every output of router `ri` whose head
+    /// transfer is ready, visiting the set bits of `granted` or, when it is
+    /// `None`, every output (ascending either way). Shared by both engines.
+    // taqos-lint: hot
+    fn launch_router(&mut self, ri: usize, granted: Option<u64>, faults_on: bool) {
+        let now = self.now;
+        // Crossbar input groups already used this cycle (bitmask).
+        let mut xbar_used: u64 = 0;
+        let mut mask_bits = granted.unwrap_or(0);
+        let mut linear_oi = 0;
+        loop {
+            // taqos-lint: allow(panic-index) -- callers pass a live router index
+            let router = &mut self.routers[ri];
+            let oi = if granted.is_some() {
+                if mask_bits == 0 {
+                    break;
+                }
+                let oi = mask_bits.trailing_zeros() as usize;
+                mask_bits &= mask_bits - 1;
+                oi
+            } else {
+                if linear_oi >= router.outputs.len() {
+                    break;
+                }
+                linear_oi += 1;
+                linear_oi - 1
+            };
+            let out_state = &router.outputs[oi];
+            let Some(transfer) = out_state.granted.first() else {
+                continue;
+            };
+            if out_state.link_free_at > now || transfer.launch_start > now {
+                continue;
+            }
+            let from_port = transfer.from_port.0;
+            let from_vc = transfer.from_vc.index();
+            let passthrough = transfer.passthrough;
+            // taqos-lint: allow(panic-index) -- xbar_groups is built 1:1 with the router's input ports
+            let group = router.xbar_groups[from_port];
+            if !passthrough && (xbar_used >> group) & 1 == 1 {
+                continue;
+            }
+            if router.inputs[from_port].vcs[from_vc].sendable_flits() == 0 {
+                continue;
+            }
+            if faults_on && transfer.flits_launched == 0 && self.fault_intercepts(ri, oi) {
+                continue;
+            }
+
+            // Launch one flit.
+            // taqos-lint: allow(panic-index) -- callers pass a live router index
+            let router = &mut self.routers[ri];
+            let out_state = &mut router.outputs[oi];
+            let transfer = &mut out_state.granted[0];
+            let flit_idx = transfer.flits_launched;
+            let is_head = flit_idx == 0;
+            let is_tail = flit_idx + 1 == transfer.len;
+            transfer.flits_launched += 1;
+            out_state.link_free_at = now + 1;
+            out_state.flits_launched_total += 1;
+            router.inputs[from_port].vcs[from_vc].flits_sent += 1;
+
+            self.stats.energy.buffer_reads += 1;
+            self.stats.energy.link_flit_hops += u64::from(transfer.wire_delay);
+            if !passthrough {
+                xbar_used |= 1 << group;
+                self.stats.energy.xbar_flits += 1;
+            }
+
+            let due = now + Cycle::from(transfer.wire_delay);
+            let event = match transfer.endpoint {
+                TargetEndpoint::Router { router, in_port } if is_head => Event::HeadToRouter {
+                    router: router as u32,
+                    in_port: in_port.0 as u16,
+                    vc: transfer.to_vc,
+                    len: transfer.len,
+                    packet: transfer.packet,
+                },
+                TargetEndpoint::Sink { sink } if is_head || is_tail => Event::FlitToSink {
+                    sink: sink as u32,
+                    slot: transfer.to_vc,
+                    is_head,
+                    is_tail,
+                    packet: transfer.packet,
+                },
+                // Body and tail flits replay the per-packet template built
+                // at grant time.
+                _ => transfer.body_event,
+            };
+            self.events.schedule(due, event);
+            if transfer.is_complete() {
+                retire_transfer(router, oi, &mut self.events, now + self.config.credit_delay);
+            }
+        }
+    }
+
+    /// Injected faults intercept whole packets at head launch: a dead output
+    /// link, a dead router at either end of it, or a corrupted head flit
+    /// kills the head transfer of output `oi` at router `ri` before anything
+    /// reaches the wire. The drop has whole-packet (virtual cut-through)
+    /// granularity and fires only once every flit is buffered at this
+    /// router, so no body flit is ever in flight towards a VC released here;
+    /// a hard fault simply holds the head until the packet is fully
+    /// resident. The claimed resources are released exactly as a completed
+    /// transfer's would be, and the packet is NACKed back to its source — or
+    /// abandoned once the fault retransmit budget is spent. Returns whether
+    /// the head was held or dropped.
+    // taqos-lint: hot
+    fn fault_intercepts(&mut self, ri: usize, oi: usize) -> bool {
+        let Some(fault) = self.fault.as_ref() else {
+            return false;
+        };
+        let now = self.now;
+        // taqos-lint: allow(panic-index) -- callers pass a live router index
+        let router = &mut self.routers[ri];
+        let transfer = &router.outputs[oi].granted[0];
+        let dest_router_dead = match transfer.endpoint {
+            TargetEndpoint::Router { router, .. } => fault.router_dead(router),
+            TargetEndpoint::Sink { .. } => false,
+        };
+        let hard = fault.router_dead(ri) || dest_router_dead || fault.link_dead(ri, oi);
+        let resident = router.inputs[transfer.from_port.0].vcs[transfer.from_vc.index()]
+            .flits_arrived
+            >= transfer.len;
+        if hard && !resident {
+            return true;
+        }
+        let corrupt =
+            !hard && resident && fault.corrupts(now, ri, oi, transfer.flow.index() as u64);
+        if !hard && !corrupt {
+            return false;
+        }
+        if corrupt {
+            self.stats.fault.corruption_drops += 1;
+        } else if fault.router_dead(ri) || dest_router_dead {
+            self.stats.fault.router_drops += 1;
+        } else {
+            self.stats.fault.link_drops += 1;
+        }
+        let transfer =
+            retire_transfer(router, oi, &mut self.events, now + self.config.credit_delay);
+        // No flit will ever consume the downstream VC claimed at grant time:
+        // refund its credit here.
+        router.outputs[oi].targets[transfer.target_idx]
+            .refund(transfer.to_vc, transfer.to_vc_reserved);
+        let node = router.node;
+        let (flow, src, origin) = {
+            let packet = self
+                .packets
+                .get(transfer.packet)
+                // taqos-lint: allow(panic-path) -- fault drops target in-flight packets only
+                .expect("dropped packet must be live");
+            (packet.flow, packet.src, packet.origin_source)
+        };
+        self.fault_bounce(transfer.packet, flow, origin, src.column_distance(node));
+        true
+    }
+
+    /// The optimized engine's preemption probe: the policy picks the victim
+    /// from memoised priorities, and a flushed routed victim's entry is
+    /// retired from its output's persistent request list.
     // taqos-lint: hot
     fn handle_preemption_probe(&mut self, router: usize, in_port: usize, contender: FlowId) {
-        let node = self.routers[router].node;
+        let preempted = self.preemption_probe(router, in_port, |net, candidates| {
+            // Annotate candidates with memoised priorities so the policy's
+            // victim choice needs no per-probe priority recomputation.
+            let mut prioritized = std::mem::take(&mut net.probe_prioritized_scratch);
+            prioritized.clear();
+            let (router_state, qos) = (&mut net.routers[router], &*net.qos[router]);
+            for &(pid, flow, reserved) in candidates {
+                prioritized.push((
+                    pid,
+                    flow,
+                    reserved,
+                    cached_priority(router_state, qos, flow),
+                ));
+            }
+            let contender_priority = cached_priority(router_state, qos, contender);
+            let victim = qos.select_victim_prioritized(contender, contender_priority, &prioritized);
+            net.probe_prioritized_scratch = prioritized;
+            victim
+        });
+        // Routed but never granted: the victim still sits in its output's
+        // persistent request list; retire the entry and invalidate that
+        // output's cached decision.
+        if let Some((vc_idx, Some(out))) = preempted {
+            // taqos-lint: allow(panic-index) -- probes address live routers (checked at spec validation)
+            let router_state = &mut self.routers[router];
+            let bucket = &mut router_state.alloc_buckets[out.0];
+            let pos = bucket
+                .binary_search_by_key(&(in_port as u16, vc_idx as u16), |r| (r.in_port, r.vc))
+                // taqos-lint: allow(panic-path) -- routing files a request for every routed, ungranted VC
+                .expect("preempted packet must have a pending request");
+            bucket.remove(pos);
+            router_state.mark_output_dirty(out.0);
+        }
+    }
+
+    /// A preemption probe at input port `in_port` of `router`: gathers the
+    /// port's resident, idle packets, lets `select_victim` pick one, and
+    /// flushes it — freeing its VC, returning the credit upstream and
+    /// NACKing the packet back to its source. Returns the flushed VC and
+    /// the route it had been assigned. Shared by both engines.
+    // taqos-lint: hot
+    fn preemption_probe(
+        &mut self,
+        router: usize,
+        in_port: usize,
+        select_victim: impl FnOnce(&mut Network, &[(PacketId, FlowId, bool)]) -> Option<PacketId>,
+    ) -> Option<(usize, Option<OutPortId>)> {
         // Victim candidates are gathered into a reusable buffer: under
         // saturation a probe fires for every blocked output every cycle, so
         // this path must not allocate.
@@ -2632,76 +2490,35 @@ impl Network {
                 }
             }
         }
-        if candidates.is_empty() {
-            self.probe_scratch = candidates;
-            return;
-        }
-        let victim = if self.config.engine.is_reference() {
-            self.qos[router].select_victim(contender, &candidates)
+        let victim = if candidates.is_empty() {
+            None
         } else {
-            // Annotate candidates with memoised priorities so the policy's
-            // victim choice needs no per-probe priority recomputation.
-            let mut prioritized = std::mem::take(&mut self.probe_prioritized_scratch);
-            prioritized.clear();
-            for &(pid, flow, reserved) in &candidates {
-                let priority = cached_priority(&mut self.routers[router], &*self.qos[router], flow);
-                prioritized.push((pid, flow, reserved, priority));
-            }
-            let contender_priority =
-                cached_priority(&mut self.routers[router], &*self.qos[router], contender);
-            let victim = self.qos[router].select_victim_prioritized(
-                contender,
-                contender_priority,
-                &prioritized,
-            );
-            self.probe_prioritized_scratch = prioritized;
-            victim
+            select_victim(self, &candidates)
         };
         self.probe_scratch = candidates;
-        let Some(victim_id) = victim else {
-            return;
-        };
+        let victim_id = victim?;
         // Locate and flush the victim VC.
-        let port = &mut self.routers[router].inputs[in_port];
-        let Some(vc_idx) = port
+        let router_state = &mut self.routers[router];
+        let node = router_state.node;
+        let port = &mut router_state.inputs[in_port];
+        let vc_idx = port
             .vcs
             .iter()
-            .position(|vc| vc.packet() == Some(victim_id) && vc.is_resident_idle())
-        else {
-            return;
-        };
+            .position(|vc| vc.packet() == Some(victim_id) && vc.is_resident_idle())?;
         // taqos-lint: allow(panic-index) -- vc_idx was just produced by position() over this vector
-        let was_reserved_vc = port.vcs[vc_idx].reserved_vc();
+        let vc = &mut port.vcs[vc_idx];
+        let was_reserved_vc = vc.reserved_vc();
         // A victim can be flushed in the event phase of the same cycle its
         // head arrived, i.e. before the routing phase ran; keep the
         // unrouted bookkeeping exact in that case.
-        // taqos-lint: allow(panic-index) -- vc_idx was just produced by position() over this vector
-        let victim_route = port.vcs[vc_idx].route();
-        port.vcs[vc_idx].release();
+        let victim_route = vc.route();
+        vc.release();
         port.occupied -= 1;
+        let feeder = port.feeder;
+        router_state.active_vcs -= 1;
         if victim_route.is_none() {
             port.unrouted -= 1;
-        }
-        let feeder = port.feeder;
-        let router_state = &mut self.routers[router];
-        router_state.active_vcs -= 1;
-        match victim_route {
-            None => router_state.unrouted_vcs -= 1,
-            Some(out) if !self.config.engine.is_reference() => {
-                // Routed but never granted: the victim still sits in its
-                // output's persistent request list; retire the entry and
-                // invalidate that output's cached decision.
-                let bucket = &mut router_state.alloc_buckets[out.0];
-                let pos = bucket
-                    .binary_search_by_key(&(in_port as u16, vc_idx as u16), |r| (r.in_port, r.vc))
-                    // taqos-lint: allow(panic-path) -- routed non-reference VCs always have a filed request
-                    .expect("preempted packet must have a pending request");
-                bucket.remove(pos);
-                if let Some(mask) = router_state.alloc_dirty.as_mut() {
-                    *mask |= 1 << out.0;
-                }
-            }
-            Some(_) => {}
+            router_state.unrouted_vcs -= 1;
         }
 
         // As in delivery, only scalar fields of the victim are needed.
@@ -2725,34 +2542,13 @@ impl Network {
 
         // Return the freed buffer to the upstream channel so the contender
         // can claim it.
-        match feeder {
-            Some(Feeder::RouterOutput {
-                router: fr,
-                out_port: fo,
-                target_idx: ft,
-            }) => {
-                self.events.schedule(
-                    self.now + self.config.credit_delay,
-                    Event::CreditToRouter {
-                        router: fr as u32,
-                        out_port: fo as u16,
-                        target_idx: ft as u16,
-                        vc: VcId(vc_idx as u16),
-                        reserved_vc: was_reserved_vc,
-                    },
-                );
-            }
-            Some(Feeder::Source { source }) => {
-                self.events.schedule(
-                    self.now + self.config.credit_delay,
-                    Event::CreditToSource {
-                        source: source as u32,
-                        vc: VcId(vc_idx as u16),
-                    },
-                );
-            }
-            None => {}
-        }
+        return_credit(
+            &mut self.events,
+            feeder,
+            self.now + self.config.credit_delay,
+            vc_idx,
+            was_reserved_vc,
+        );
 
         // NACK the injecting source over the ACK network; it will retransmit
         // (for closed-loop replies, the controller's source).
@@ -2766,6 +2562,7 @@ impl Network {
                 packet: victim_id,
             },
         );
+        Some((vc_idx, victim_route))
     }
 }
 

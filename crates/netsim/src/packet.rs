@@ -34,7 +34,7 @@ impl PacketClass {
 }
 
 /// A packet travelling through the simulated network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Packet {
     /// Unique identifier within one simulation run.
     pub id: PacketId,

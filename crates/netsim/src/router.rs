@@ -6,9 +6,11 @@ use crate::port::{InputPortState, OutputPortState};
 use crate::spec::{InputKind, InputPortSpec, OutputKind, OutputPortSpec, RouterSpec};
 
 /// One candidate in a virtual-channel allocation round: a buffered packet
-/// head requesting an output port. Gathered into the router's reusable
-/// scratch buffer each cycle, so steady-state arbitration performs no heap
-/// allocation.
+/// head requesting an output port. The optimized engine keeps these in
+/// persistent per-output lists ([`RouterState::alloc_buckets`]); the
+/// reference engine gathers them afresh into a reused buffer. Priorities and
+/// credit state are not stored: both move cycle to cycle, so arbitration
+/// reads them at decision time.
 #[derive(Debug, Clone)]
 pub(crate) struct ArbRequest {
     /// Input port holding the requesting packet (ports per router are far
@@ -28,10 +30,6 @@ pub(crate) struct ArbRequest {
     pub target_idx: u16,
     /// Whether the input port is a pass-through (DPS intermediate hop).
     pub passthrough: bool,
-    /// Dynamic priority assigned by the QOS policy (lower wins).
-    pub priority: u64,
-    /// Whether the target currently has a claimable downstream VC.
-    pub has_credit: bool,
 }
 
 /// One entry of a router's per-flow priority memo: the cached priority and
@@ -72,9 +70,7 @@ pub struct RouterState {
     /// inserted (ordered by `(in_port, vc)`, the reference scan order) when
     /// the routing phase assigns the packet's output, and removed when the
     /// packet wins a grant or is preempted — so arbitration never rescans
-    /// input ports and performs no steady-state allocation. Priorities and
-    /// credit state are refreshed each decision, as they change cycle to
-    /// cycle.
+    /// input ports and performs no steady-state allocation.
     pub(crate) alloc_buckets: Vec<Vec<ArbRequest>>,
     /// Bitmask of output ports that currently hold granted transfers (bit
     /// `oi` set ⇔ `outputs[oi].granted` is non-empty), maintained for

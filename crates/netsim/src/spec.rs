@@ -495,6 +495,42 @@ impl NetworkSpec {
                 )));
             }
         }
+        // Single-feeder rule: an input port or a sink returns its credits to
+        // exactly one upstream endpoint, so at most one router-output
+        // target or source may feed it.
+        // One flag per feedable endpoint: every router's input ports, then
+        // the sinks.
+        let mut first_input = Vec::with_capacity(self.routers.len());
+        let mut inputs = 0;
+        for router in &self.routers {
+            first_input.push(inputs);
+            inputs += router.inputs.len();
+        }
+        let mut fed = vec![false; inputs + self.sinks.len()];
+        let targets = self
+            .routers
+            .iter()
+            .flat_map(|r| &r.outputs)
+            .flat_map(|o| &o.targets);
+        let injections = self.sources.iter().map(|s| TargetEndpoint::Router {
+            router: s.router,
+            in_port: s.in_port,
+        });
+        for endpoint in targets.map(|t| t.endpoint).chain(injections) {
+            let flag = match endpoint {
+                TargetEndpoint::Router { router, in_port } => first_input[router] + in_port.0,
+                TargetEndpoint::Sink { sink } => inputs + sink,
+            };
+            if std::mem::replace(&mut fed[flag], true) {
+                let what = match endpoint {
+                    TargetEndpoint::Router { router, in_port } => {
+                        format!("input port {} of router {router}", in_port.0)
+                    }
+                    TargetEndpoint::Sink { sink } => format!("sink {sink}"),
+                };
+                return Err(SpecError::new(format!("{what} has more than one feeder")));
+            }
+        }
         let mut flows: Vec<FlowId> = self.sources.iter().map(|s| s.flow).collect();
         flows.sort_unstable();
         flows.dedup();
@@ -641,6 +677,62 @@ mod tests {
         dup.name = "dup".to_string();
         spec.sources.push(dup);
         assert!(spec.validate().is_err());
+    }
+
+    /// Asserts that `spec` fails validation on the single-feeder rule.
+    fn assert_second_feeder_rejected(spec: &NetworkSpec) {
+        let err = spec
+            .validate()
+            .expect_err("a second feeder must be rejected");
+        assert!(
+            err.message().contains("more than one feeder"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn validation_rejects_two_sources_on_one_injection_port() {
+        let mut spec = tiny_spec();
+        let mut second = spec.sources[0].clone();
+        second.flow = FlowId(1);
+        second.name = "n0.term2".to_string();
+        spec.sources.push(second);
+        assert_second_feeder_rejected(&spec);
+    }
+
+    #[test]
+    fn validation_rejects_router_output_into_an_injection_port() {
+        let mut spec = tiny_spec();
+        spec.routers[1].outputs.push(OutputPortSpec::network(
+            "north",
+            Direction::North,
+            0,
+            vec![TargetSpec::single(
+                TargetEndpoint::Router {
+                    router: 0,
+                    in_port: InPortId(0),
+                },
+                1,
+            )],
+        ));
+        assert_second_feeder_rejected(&spec);
+    }
+
+    #[test]
+    fn validation_rejects_two_router_outputs_into_one_input_port() {
+        let mut spec = tiny_spec();
+        let second = spec.routers[0].outputs[0].clone();
+        spec.routers[0].outputs.push(second);
+        assert_second_feeder_rejected(&spec);
+    }
+
+    #[test]
+    fn validation_rejects_two_router_outputs_into_one_sink() {
+        let mut spec = tiny_spec();
+        spec.routers[0]
+            .outputs
+            .push(OutputPortSpec::ejection("eject", 0, 0));
+        assert_second_feeder_rejected(&spec);
     }
 
     #[test]

@@ -13,7 +13,8 @@ use taqos::prelude::*;
 use taqos::traffic::workloads;
 use taqos_netsim::config::EngineKind;
 use taqos_netsim::network::Network;
-use taqos_qos::pvc::PvcPolicy;
+use taqos_qos::pvc::{PvcConfig, PvcPolicy};
+use taqos_qos::rates::RateAllocation;
 use taqos_topology::mesh2d::Mesh2dConfig;
 
 fn open_loop_stats(topology: ColumnTopology, engine: EngineKind, seed: u64) -> NetStats {
@@ -360,4 +361,156 @@ fn dram_row_locality_stats_are_pinned_on_both_engines() {
         pinned.push(stats.dram.clone());
     }
     assert_eq!(pinned[0], pinned[1], "engines diverged on DramStats");
+}
+
+/// Injects a four-flit packet to `dst` every cycle it is asked.
+struct Flood {
+    dst: NodeId,
+}
+
+impl taqos_netsim::packet::PacketGenerator for Flood {
+    fn generate(&mut self, _now: u64) -> Option<taqos_netsim::packet::GeneratedPacket> {
+        Some(taqos_netsim::packet::GeneratedPacket {
+            dst: self.dst,
+            len_flits: 4,
+            class: taqos_netsim::packet::PacketClass::Request,
+        })
+    }
+
+    fn exhausted(&self) -> bool {
+        false
+    }
+}
+
+/// A two-router fabric whose hub ejects to 70 sinks — more outputs than the
+/// optimized engine's 64-bit `granted_mask` and `alloc_dirty` masks cover,
+/// so its launch walks every output and its allocation never replays a
+/// clean output. Even nodes inject at a feeder router whose one channel
+/// into the hub is the bottleneck (PVC probes the hub's input port from
+/// there); odd nodes inject at the hub directly and compete with it for
+/// one-slot sinks.
+fn wide_hub_stats(engine: EngineKind) -> NetStats {
+    use std::collections::BTreeMap;
+    use taqos_netsim::ids::{Direction, InPortId, OutPortId};
+    use taqos_netsim::spec::{
+        InputPortSpec, NetworkSpec, OutputPortSpec, RouterSpec, SinkSpec, SourceSpec,
+        TargetEndpoint, TargetSpec, VcConfig,
+    };
+    const NODES: usize = 70;
+    let vcs = VcConfig::new(2, 4);
+    let every_node = |out: &dyn Fn(usize) -> usize| -> BTreeMap<NodeId, Vec<OutPortId>> {
+        (0..NODES)
+            .map(|n| (NodeId(n as u16), vec![OutPortId(out(n))]))
+            .collect()
+    };
+    let feeder = RouterSpec {
+        node: NodeId(0),
+        inputs: (0..NODES)
+            .step_by(2)
+            .map(|n| InputPortSpec::injection(format!("n{n}.term"), vcs, 0))
+            .collect(),
+        outputs: vec![OutputPortSpec::network(
+            "to_hub",
+            Direction::East,
+            0,
+            vec![TargetSpec::single(
+                TargetEndpoint::Router {
+                    router: 1,
+                    in_port: InPortId(0),
+                },
+                1,
+            )],
+        )],
+        route_table: every_node(&|_| 0),
+        va_latency: 1,
+        xt_latency: 1,
+    };
+    let mut hub_inputs = vec![InputPortSpec::network(
+        "from_feeder",
+        NodeId(0),
+        Direction::East,
+        0,
+        vcs,
+        0,
+    )];
+    hub_inputs.extend(
+        (1..NODES)
+            .step_by(2)
+            .map(|n| InputPortSpec::injection(format!("n{n}.term"), vcs, (1 + n / 2) as u8)),
+    );
+    let hub = RouterSpec {
+        node: NodeId(1),
+        inputs: hub_inputs,
+        outputs: (0..NODES)
+            .map(|n| OutputPortSpec::ejection(format!("eject{n}"), n, 0))
+            .collect(),
+        route_table: every_node(&|n| n),
+        va_latency: 1,
+        xt_latency: 1,
+    };
+    let spec = NetworkSpec {
+        name: "wide_hub".to_string(),
+        routers: vec![feeder, hub],
+        sources: (0..NODES)
+            .map(|n| SourceSpec {
+                flow: FlowId(n as u16),
+                node: NodeId(n as u16),
+                router: n % 2,
+                in_port: InPortId(if n % 2 == 0 { n / 2 } else { 1 + n / 2 }),
+                name: format!("n{n}.term"),
+                window: 8,
+            })
+            .collect(),
+        sinks: (0..NODES)
+            .map(|n| SinkSpec {
+                node: NodeId(n as u16),
+                name: format!("n{n}.sink"),
+                slots: 1,
+            })
+            .collect(),
+        flit_bytes: 16,
+    };
+    // Hogs on both routers flood node 1's one-slot sink, far past their PVC
+    // share: the feeder-side hogs' packets sit unreserved and idle at the
+    // hub's input port, where probes from the blocked feeder find them.
+    let mut generators =
+        workloads::uniform_random_terminals(NODES, 0.03, PacketSizeMix::paper(), 21);
+    for hog in [0, 2, 4, 3, 5] {
+        generators[hog] = Box::new(Flood { dst: NodeId(1) });
+    }
+    let mut network = Network::new(
+        spec,
+        // Short frames put the hogs past their reserved quota early and
+        // roll the priorities over a few times within the run.
+        Box::new(PvcPolicy::new(
+            PvcConfig {
+                frame_len: 1_000,
+                ..PvcConfig::paper()
+            },
+            RateAllocation::equal(NODES),
+        )),
+        generators,
+        SimConfig::default().with_engine(engine),
+    )
+    .expect("wide hub builds");
+    network.run_for(4_000);
+    network.into_stats()
+}
+
+/// Engine equivalence holds on a router with more than 64 outputs, where
+/// the optimized engine runs without its per-router output bit masks.
+#[test]
+fn wide_router_stats_match_reference_engine() {
+    let optimized = wide_hub_stats(EngineKind::Optimized);
+    let reference = wide_hub_stats(EngineKind::Reference);
+    assert_eq!(
+        optimized, reference,
+        "engines diverged on the 70-output hub"
+    );
+    assert!(optimized.delivered_packets > 0, "the hub delivered nothing");
+    assert!(
+        optimized.preemption_events > 0,
+        "the hogs' packets should be preempted at the hub ({} preemptions)",
+        optimized.preemption_events
+    );
 }
